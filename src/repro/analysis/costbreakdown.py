@@ -5,10 +5,10 @@ feature-bucket decomposition of CMAM's instruction stream.  This module
 applies the same discipline to *our* runtime: it micro-times every term
 a message crosses on the hot path — frame encode, frame decode
 (including the CRC), the container-batch variants, the per-send path in
-``endpoint.post_frame`` (batched flush vs the old task-per-frame
-design), span enter/exit, tracer and counter charges, timer-wheel
-arm/cancel churn, and flow-control window bookkeeping — and ranks them
-into a first-class table.
+``endpoint.post_frame`` (post, coalesced flush, hub delivery), span
+enter/exit, tracer and counter charges, timer-wheel arm/cancel churn,
+and flow-control window bookkeeping — and ranks them into a
+first-class table.
 
 Methodology
 -----------
@@ -26,7 +26,8 @@ them.
 The output feeds three consumers: ``python -m repro runtime profile``
 (human-readable ranked table), the ``cost/{mode}`` rows of
 ``BENCH_runtime.json``, and ``check_runtime_regression.py``'s
-encode/decode cost gates.
+encode/decode cost gates.  :data:`COST_ORDERINGS` are the structural
+facts all three gate through :func:`cost_violations`.
 """
 
 from __future__ import annotations
@@ -266,8 +267,7 @@ async def _measure_async_terms(report: CostReport, ops: int,
 
     # The send path, measured end to end on the real endpoint over a
     # quiet hub of this report's mode: post N frames, run the loop
-    # until every datagram left.  This is the term frame batching
-    # attacks — the old design paid one asyncio task per frame.
+    # until every datagram left.
     hub = make_hub(report.mode, reorder_rate=0.0)
     src = RuntimeEndpoint(hub.attach("profiler-src"),
                           attribution=NullTimeAttribution())
@@ -292,27 +292,6 @@ async def _measure_async_terms(report: CostReport, ops: int,
     report.rows.append(CostRow(
         "send_path_batched", best_post, send_ops,
         "post_frame -> coalesced flush -> hub delivery, per frame"))
-
-    # The pre-batching baseline for comparison: one asyncio task per
-    # frame, each awaiting transport.send — what post_frame used to do.
-    transport = src.transport
-
-    async def task_per_frame_round(n: int) -> None:
-        frames = [encode_frame(data_frame(channel=1, seq=seq,
-                                          payload=words))
-                  for seq in range(n)]
-        tasks = [asyncio.ensure_future(transport.send(addr, wire))
-                 for wire in frames]
-        await asyncio.gather(*tasks)
-
-    best_task = float("inf")
-    for _ in range(rounds):
-        start = _now()
-        await task_per_frame_round(send_ops)
-        best_task = min(best_task, (_now() - start) / send_ops)
-    report.rows.append(CostRow(
-        "send_path_task_per_frame", best_task, send_ops,
-        "the old design: encode + one asyncio task per frame"))
 
     await src.close()
     await dst.close()
@@ -340,10 +319,32 @@ def render_cost_table(report: CostReport) -> str:
     ]
     for row in report.ranked():
         lines.append(f"  {row.name:<28} {row.ns_per_op:>10.0f}  {row.note}")
-    batched = report.row("send_path_batched").ns_per_op
-    tasked = report.row("send_path_task_per_frame").ns_per_op
-    if batched > 0:
-        lines.append(
-            f"  send path: batching is {tasked / batched:.1f}x cheaper "
-            "than task-per-frame")
     return "\n".join(lines)
+
+
+#: (cheap, dear) term pairs whose order holds on any machine, unlike raw
+#: nanosecond readings: each disabled fast path undercuts its enabled
+#: twin, and a frame encoded inside a container undercuts a lone one.
+COST_ORDERINGS = (
+    ("span_disabled", "span_enter_exit"),
+    ("tracer_emit_disabled", "tracer_emit_enabled"),
+    ("batch_encode_per_frame", "frame_encode"),
+)
+
+
+def cost_violations(record: Dict[str, Any]) -> List[str]:
+    """The gate on one ``cost/{mode}`` record (:meth:`CostReport.to_dict`):
+    every :data:`COST_ORDERINGS` pair is present and in order."""
+    label = f"cost/{record.get('mode')}"
+    rows = record.get("rows") or {}
+    problems = []
+    for cheap, dear in COST_ORDERINGS:
+        if cheap not in rows or dear not in rows:
+            problems.append(f"{label} is missing the {cheap} or {dear} term")
+            continue
+        cheap_ns = rows[cheap]["ns_per_op"]
+        dear_ns = rows[dear]["ns_per_op"]
+        if cheap_ns >= dear_ns:
+            problems.append(f"{label}: {cheap} ({cheap_ns:.0f} ns) no longer "
+                            f"undercuts {dear} ({dear_ns:.0f} ns)")
+    return problems

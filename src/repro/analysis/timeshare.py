@@ -398,6 +398,25 @@ def render_chaos_features(records: List[Mapping]) -> str:
     return title + "\n" + render_table(headers, rows)
 
 
+#: The CR share must come in below this fraction of the CM-5 share for a
+#: run to reproduce Figure 6's direction.
+COLLAPSE_THRESHOLD = 0.5
+
+
+def collapse_violations(label: str, cm5_share: float,
+                        cr_share: float) -> List[str]:
+    """The Figure 6 gate between a CM-5 and a CR run of one cell: CM-5
+    mode pays for ordering + fault tolerance, and the CR share collapses
+    below :data:`COLLAPSE_THRESHOLD` of it."""
+    if cm5_share <= 0.0:
+        return [f"{label}: CM-5 mode measured no ordering+fault overhead"]
+    if cr_share >= cm5_share * COLLAPSE_THRESHOLD:
+        return [f"{label}: ordering+fault share did not collapse: "
+                f"{cm5_share:.1%} (CM-5) -> {cr_share:.1%} (CR), bound "
+                f"< {COLLAPSE_THRESHOLD:.0%} of the CM-5 share"]
+    return []
+
+
 def fabric_collapse(records: List[Mapping]) -> Dict[int, Dict[str, float]]:
     """The Figure 6 collapse, per peer count, from fabric load records.
 

@@ -70,8 +70,7 @@ from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.tracing import EventType
 
 #: Well-known control channel for collective handshakes (after
-#: CH_SINGLE/CH_BULK/CH_STREAM and the failure detector's
-#: CH_HEARTBEAT).
+#: CH_SINGLE/CH_BULK/CH_STREAM).
 CH_COLLECTIVE = 5
 
 #: Ledger lane id used by the broadcast-audit chaos driver.
@@ -806,6 +805,17 @@ async def measure_crossover(sizes: Sequence[int] = CROSSOVER_SIZES,
     }
 
 
+def crossover_violations(sweep: Dict[str, object]) -> List[str]:
+    """The crossover sweep's gate (:func:`measure_crossover`): a
+    crossover exists, eager wins the smallest payload and rendezvous
+    the largest."""
+    return [f"coll/crossover: {what}" for key, what in (
+        ("crossover_words", "no eager/rendezvous crossover found"),
+        ("eager_wins_smallest", "eager lost the smallest payload"),
+        ("rendezvous_wins_largest", "rendezvous lost the largest payload"),
+    ) if not sweep.get(key)]
+
+
 async def measure_collective_ops(mode: str = "cr", peers: int = 4,
                                  payload_words: int = 96,
                                  config: Optional[CollectiveConfig] = None,
@@ -924,6 +934,16 @@ async def measure_collective_ops(mode: str = "cr", peers: int = 4,
         await fabric.close()
 
 
+def collective_op_violations(row: Dict[str, object]) -> List[str]:
+    """One op row's gate (:func:`measure_collective_ops`): the op
+    completed and its payload audit is clean."""
+    label = f"coll/{row.get('op')}/{row.get('mode')}"
+    return [f"{label} {what}" for key, what in (
+        ("completed", "did not complete"),
+        ("audit_clean", "payload audit is dirty"),
+    ) if not row.get(key)]
+
+
 # ---------------------------------------------------------------------------
 # chaos scenario: broadcast through a partition-heal
 # ---------------------------------------------------------------------------
@@ -1018,3 +1038,14 @@ async def run_broadcast_partition(mode: str = "cm5", peers: int = 4,
     finally:
         await group.close()
         await fabric.close()
+
+
+def partition_violations(row: Dict[str, object]) -> List[str]:
+    """The partition scenario's gate (:func:`run_broadcast_partition`):
+    a broadcast was cut mid-flight, and every receiver's audit is
+    clean."""
+    label = f"coll/partition/{row.get('mode')}"
+    return [f"{label} {what}" for key, what in (
+        ("healed_in_flight", "never cut a broadcast mid-flight"),
+        ("all_clean", f"audit is dirty: {row.get('audits')}"),
+    ) if not row.get(key)]

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.timeshare import (
     WireStats,
+    collapse_violations,
     fabric_collapse,
     overhead_collapse,
     render_chaos_features,
@@ -52,8 +53,23 @@ from repro.analysis.tracereport import (
     render_trace_report,
 )
 from repro.arch.attribution import Feature
-from repro.runtime.loadgen import LoadConfig, measure_load, sweep_overload
-from repro.runtime.runner import PROTOCOL_NAMES, RuntimeRunResult, measure_live
+from repro.runtime.loadgen import (
+    LoadConfig,
+    fabric_collapse_violations,
+    load_violations,
+    measure_load,
+    overload_retention,
+    overload_retention_violations,
+    overload_violations,
+    sweep_overload,
+)
+from repro.runtime.runner import (
+    MAX_STAGE_ERROR,
+    MIN_JOURNEY_COVERAGE,
+    PROTOCOL_NAMES,
+    RuntimeRunResult,
+    measure_live,
+)
 from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import (
     DEFAULT_CAPACITY,
@@ -63,9 +79,14 @@ from repro.runtime.tracing import (
     export_jsonl,
 )
 
-#: The CR share must come in below this fraction of the CM-5 share for
-#: the demo to declare the paper's direction reproduced.
-COLLAPSE_THRESHOLD = 0.5
+
+def _verdict(label: str, problems: List[str]) -> int:
+    """Print one gated cell as ``[ok]``/``[FAIL]`` followed by its
+    violations; returns 1 when the cell failed, else 0."""
+    print(f"  [{'FAIL' if problems else 'ok'}] {label}")
+    for problem in problems:
+        print(f"        {problem}")
+    return 1 if problems else 0
 
 
 def _wire_stats(result: RuntimeRunResult) -> WireStats:
@@ -192,17 +213,10 @@ def run_demo(args) -> int:
         collapse = overhead_collapse(cm5.breakdown(), cr.breakdown())
         cm5_share = collapse["cm5_ordering_fault_share"]
         cr_share = collapse["cr_ordering_fault_share"]
-        collapsed = (
-            cm5_share == 0.0 or cr_share <= cm5_share * COLLAPSE_THRESHOLD
-        )
-        if not collapsed:
-            failures += 1
-        print(
-            f"  [{'ok' if collapsed else 'FAIL'}] ordering + fault-tolerance "
-            f"share: {cm5_share:.0%} (CM-5) -> {cr_share:.0%} (CR) — "
-            + ("collapses, matching Figure 6's direction"
-               if collapsed else "did NOT collapse")
-        )
+        failures += _verdict(
+            f"ordering + fault-tolerance share: {cm5_share:.0%} (CM-5) -> "
+            f"{cr_share:.0%} (CR), Figure 6's direction",
+            collapse_violations(protocol, cm5_share, cr_share))
         print()
 
     if args.json:
@@ -434,37 +448,19 @@ def run_overload_cmd(args, modes) -> int:
     records: List[Dict[str, Any]] = []
     failures = 0
     recorder = FlightRecorder() if args.timeline else None
-    results = sweep_overload(base, factors=factors, modes=modes,
-                             recorder=recorder)
-    for result in results:
-        peaks = result.peaks
-        bounded = (
-            peaks.get("buffered_bytes", 0) <= peaks.get("window_bytes", 0)
-            and peaks.get("reorder_parked", 0)
-            <= peaks.get("reorder_window", 0)
-        )
-        audit_clean = result.audit is None or result.audit.clean
-        ok = result.completed and bounded and audit_clean
-        if not ok:
-            failures += 1
-        print(f"  [{'ok' if ok else 'FAIL'}] "
-              f"{result.config.mode} {result.config.overload:g}x: {result}")
-        for error in result.errors:
-            print(f"        {error}")
-        records.append(result.to_record())
-    for mode in modes:
-        cell = [r for r in results if r.config.mode == mode]
-        base_thr = next((r.throughput_msgs_per_s for r in cell
-                         if r.config.overload == 1.0), 0.0)
-        peak = max(cell, key=lambda r: r.config.overload)
-        retained = (peak.throughput_msgs_per_s / base_thr
-                    if base_thr else 0.0)
-        ok = retained >= 0.5
-        if not ok:
-            failures += 1
-        print(f"  [{'ok' if ok else 'FAIL'}] {mode}: throughput at "
-              f"{peak.config.overload:g}x retains {retained:.0%} of the "
-              f"1x baseline")
+    for result in sweep_overload(base, factors=factors, modes=modes,
+                                 recorder=recorder):
+        record = result.to_record()
+        records.append(record)
+        failures += _verdict(
+            f"{record['mode']} {record['overload']:g}x: {result}",
+            overload_violations(record))
+    for mode, (factor, retained) in overload_retention(records).items():
+        failures += _verdict(
+            f"{mode}: throughput at {factor:g}x retains {retained:.0%} of "
+            "the 1x baseline",
+            overload_retention_violations(
+                [r for r in records if r["mode"] == mode]))
     print()
     print(render_overload_curve(records))
     print()
@@ -522,14 +518,9 @@ def run_load_cmd(args) -> int:
                 seed=args.seed, deadline=args.deadline,
             )
             result = measure_load(config, recorder=recorder)
-            ok = (result.completed and result.lost_messages == 0
-                  and result.corrupt_messages == 0)
-            if not ok:
-                failures += 1
-            print(f"  [{'ok' if ok else 'FAIL'}] {result}")
-            for error in result.errors:
-                print(f"        {error}")
-            records.append(result.to_record())
+            record = result.to_record()
+            records.append(record)
+            failures += _verdict(str(result), load_violations(record))
 
     print()
     print(render_fabric_sweep(records))
@@ -538,20 +529,12 @@ def run_load_cmd(args) -> int:
     print()
     if args.mode == "both":
         for peers, cell in fabric_collapse(records).items():
-            cm5_share = cell["cm5_ordering_fault_share"]
-            cr_share = cell["cr_ordering_fault_share"]
-            collapsed = (
-                cm5_share == 0.0
-                or cr_share <= cm5_share * COLLAPSE_THRESHOLD
-            )
-            if not collapsed:
-                failures += 1
-            print(
-                f"  [{'ok' if collapsed else 'FAIL'}] P={peers}: ordering + "
-                f"fault-tolerance share {cm5_share:.0%} (CM-5) -> "
-                f"{cr_share:.0%} (CR) — "
-                + ("collapses" if collapsed else "did NOT collapse")
-            )
+            failures += _verdict(
+                f"P={peers}: ordering + fault-tolerance share "
+                f"{cell['cm5_ordering_fault_share']:.0%} (CM-5) -> "
+                f"{cell['cr_ordering_fault_share']:.0%} (CR)",
+                fabric_collapse_violations(
+                    r for r in records if r["peers"] == peers))
         print()
 
     if recorder is not None:
@@ -573,15 +556,21 @@ def run_chaos_cmd(args) -> int:
     """The ``runtime chaos`` command; returns a process exit code.
 
     Soaks every requested scenario × mode cell: scripted faults against
-    paced, audited traffic, with the failure detector running.  A cell
-    passes when its end-to-end audit is clean (exactly-once, in-order
-    delivery; permanently dead peers surface as *typed* ``ChannelBroken``
-    lanes, never silent loss) and — on crash scenarios — the detector
-    flagged the victim within twice its ``dead_after`` timeout.
+    paced, audited traffic, with the SWIM detector running.  A cell
+    passes :func:`~repro.runtime.chaos.chaos_violations`: a clean
+    end-to-end audit (exactly-once, in-order delivery; permanently dead
+    peers surface as *typed* ``ChannelBroken`` lanes, never silent
+    loss), crash victims detected within the SWIM bound, and latency
+    spikes refuted without a DEAD verdict.
     """
     from dataclasses import replace
 
-    from repro.runtime.chaos import SCENARIOS, ChaosConfig, run_chaos
+    from repro.runtime.chaos import (
+        SCENARIOS,
+        ChaosConfig,
+        chaos_violations,
+        run_chaos,
+    )
 
     scenarios = (sorted(SCENARIOS) if args.scenario == "all"
                  else [args.scenario])
@@ -609,19 +598,12 @@ def run_chaos_cmd(args) -> int:
             result = asyncio.run(run_chaos(
                 replace(base, mode=mode), scenario, tracer=tracer,
                 recorder=recorder))
-            bound_ok = result.detection_within_bound is not False
-            detected_ok = (not result.detection_expected
-                           or result.detection_latency is not None)
-            ok = (result.audit.clean and not result.errors
-                  and bound_ok and detected_ok)
-            if not ok:
-                failures += 1
-            print(f"  [{'ok' if ok else 'FAIL'}] {result}")
-            for error in result.errors:
-                print(f"        {error}")
-            for cid, reason in result.broken_lanes:
-                print(f"        lane {cid} broke (by contract): {reason}")
-            records.append(result.to_record())
+            record = result.to_record()
+            records.append(record)
+            failures += _verdict(str(result), chaos_violations(record))
+            for lane in record["broken_lanes"]:
+                print(f"        lane {lane['cid']} broke (by contract): "
+                      f"{lane['reason']}")
 
     print()
     print(render_chaos_table(records))
@@ -662,6 +644,8 @@ def run_member_cmd(args) -> int:
         SwimConfig,
         measure_membership,
         measure_membership_soak,
+        member_flatness_violations,
+        member_violations,
     )
 
     modes = ("cm5", "cr") if args.mode == "both" else (args.mode,)
@@ -674,6 +658,7 @@ def run_member_cmd(args) -> int:
     print("repro membership soak — SWIM gossip failure detection\n")
     failures = 0
     records: List[Dict[str, Any]] = []
+    scale_rows: List[Dict[str, Any]] = []
     events: List[Dict[str, Any]] = []
     for mode in modes:
         soak = measure_membership_soak(peers, mode=mode, config=config)
@@ -695,20 +680,21 @@ def run_member_cmd(args) -> int:
         for count in scale_peers:
             row = measure_membership(count, mode=mode, config=config)
             records.append(row)
-            row_ok = (row["detection_within_bound"]
-                      and row["control_within_bound"]
-                      and not row["false_dead"])
-            if not row_ok:
-                failures += 1
+            scale_rows.append(row)
             latency = row["detection_latency_s"]
             detect = (f"detect {latency:.3f}s" if latency is not None
                       else "crash missed")
-            print(f"  [{'ok' if row_ok else 'FAIL'}] "
-                  f"member scale {mode}/p{count}: {detect} "
-                  f"(bound {row['detection_bound_s']:.3f}s), "
-                  f"{row['control_frames_per_peer_per_period']:.1f} "
-                  f"ctrl frames/peer/period "
-                  f"(bound {row['control_bound_per_period']:.1f})")
+            failures += _verdict(
+                f"member scale {mode}/p{count}: {detect} "
+                f"(bound {row['detection_bound_s']:.3f}s), "
+                f"{row['control_frames_per_peer_per_period']:.1f} "
+                f"ctrl frames/peer/period "
+                f"(bound {row['control_bound_per_period']:.1f})",
+                member_violations(row))
+    if scale_rows:
+        failures += _verdict(
+            "per-peer control load flat from the smallest to the largest "
+            "fabric", member_flatness_violations(scale_rows))
 
     print()
     if args.events:
@@ -750,8 +736,11 @@ def run_collect_cmd(args) -> int:
 
     from repro.runtime.collectives import (
         CROSSOVER_SIZES,
+        collective_op_violations,
+        crossover_violations,
         measure_collective_ops,
         measure_crossover,
+        partition_violations,
         run_broadcast_partition,
     )
 
@@ -778,18 +767,9 @@ def run_collect_cmd(args) -> int:
         winner = "eager" if eager_ns <= rdv_ns else "rendezvous"
         print(f"  {size:>6}  {eager_ns / 1e6:>10.2f}ms  "
               f"{rdv_ns / 1e6:>10.2f}ms  {winner}")
-    sweep_ok = (sweep["crossover_words"] is not None
-                and sweep["eager_wins_smallest"]
-                and sweep["rendezvous_wins_largest"])
-    if not sweep_ok:
-        failures += 1
-    print(f"  [{'ok' if sweep_ok else 'FAIL'}] "
-          + (f"crossover at {sweep['crossover_words']} words: eager "
-             "wins below, rendezvous above"
-             if sweep_ok else
-             f"no clean crossover (found={sweep['crossover_words']}, "
-             f"eager@min={sweep['eager_wins_smallest']}, "
-             f"rdv@max={sweep['rendezvous_wins_largest']})"))
+    failures += _verdict(
+        f"crossover at {sweep['crossover_words']} words: eager wins "
+        "below, rendezvous above", crossover_violations(sweep))
     print()
 
     op_rows: List[Dict[str, Any]] = []
@@ -800,18 +780,14 @@ def run_collect_cmd(args) -> int:
             payload_words=args.payload_words))
         records.extend(measured["records"])
         for row in measured["rows"]:
-            ok = row["completed"] and row["audit_clean"]
-            if not ok:
-                failures += 1
             features = row["features"]
             top = sorted(features.items(), key=lambda kv: -kv[1])[:3]
             share = "  ".join(f"{name} {frac:.0%}" for name, frac in top)
-            print(f"  [{'ok' if ok else 'FAIL'}] {mode:>3} "
-                  f"{row['op']:<10} {row['payload_words']:>5}w "
-                  f"{'/'.join(row['transfer_modes']):<10} "
-                  f"{row['total_ns'] / 1e6:>7.2f}ms  "
-                  f"{'audit clean' if row['audit_clean'] else 'AUDIT DIRTY'}"
-                  f"  {share}")
+            failures += _verdict(
+                f"{mode:>3} {row['op']:<10} {row['payload_words']:>5}w "
+                f"{'/'.join(row['transfer_modes']):<10} "
+                f"{row['total_ns'] / 1e6:>7.2f}ms  {share}",
+                collective_op_violations(row))
             op_rows.append(row)
     print()
 
@@ -823,13 +799,11 @@ def run_collect_cmd(args) -> int:
             payload_words=args.payload_words,
             heal_after=0.15 if args.smoke else 0.25))
         records.extend(out.pop("records"))
-        ok = out["all_clean"] and out["healed_in_flight"]
-        if not ok:
-            failures += 1
         clean = sum(1 for a in out["audits"].values() if a["clean"])
-        print(f"  [{'ok' if ok else 'FAIL'}] {mode:>3}: {out['rounds']} "
-              f"rounds through the heal, {clean}/{len(out['audits'])} "
-              f"peer audits clean")
+        failures += _verdict(
+            f"{mode:>3}: {out['rounds']} rounds through the heal, "
+            f"{clean}/{len(out['audits'])} peer audits clean",
+            partition_violations(out))
         chaos_rows.append(out)
     print()
 
@@ -858,11 +832,15 @@ def run_profile(args) -> int:
     Micro-times every per-message critical-path term (encode, decode,
     batching, send path, spans, tracer, counters, timer wheel, flow
     control) per transport mode, prints the ranked tables, and gates
-    the structural facts the hot-path work established: each disabled
-    fast path must undercut its enabled twin, and the batched send path
-    must undercut the old task-per-frame design.
+    the structural orderings of
+    :data:`~repro.analysis.costbreakdown.COST_ORDERINGS`.
     """
-    from repro.analysis.costbreakdown import measure_costs, render_cost_table
+    from repro.analysis.costbreakdown import (
+        COST_ORDERINGS,
+        cost_violations,
+        measure_costs,
+        render_cost_table,
+    )
 
     modes = ("cm5", "cr") if args.mode == "both" else (args.mode,)
     records: Dict[str, Any] = {}
@@ -874,19 +852,11 @@ def run_profile(args) -> int:
             ops=args.ops, rounds=args.rounds,
         )
         print(render_cost_table(report))
-        records[f"cost/{mode}"] = report.to_dict()
-        for cheap, dear in (
-            ("span_disabled", "span_enter_exit"),
-            ("tracer_emit_disabled", "tracer_emit_enabled"),
-            ("send_path_batched", "send_path_task_per_frame"),
-            ("batch_encode_per_frame", "frame_encode"),
-        ):
-            ok = report.row(cheap).ns_per_op < report.row(dear).ns_per_op
-            if not ok:
-                failures += 1
-            print(f"  [{'ok' if ok else 'FAIL'}] {cheap} "
-                  f"({report.row(cheap).ns_per_op:.0f} ns) < {dear} "
-                  f"({report.row(dear).ns_per_op:.0f} ns)")
+        record = report.to_dict()
+        records[f"cost/{mode}"] = record
+        failures += _verdict(
+            ", ".join(f"{cheap} < {dear}" for cheap, dear in COST_ORDERINGS),
+            cost_violations(record))
         print()
     if args.json:
         with open(args.json, "w") as fh:
@@ -1160,13 +1130,15 @@ def add_runtime_subparsers(parser) -> None:
     journey.add_argument("--packet-words", type=int, default=16)
     journey.add_argument("--seed", type=int, default=0x5CA1E)
     journey.add_argument("--deadline", type=float, default=60.0)
-    journey.add_argument("--min-coverage", type=float, default=0.95,
+    journey.add_argument("--min-coverage", type=float,
+                         default=MIN_JOURNEY_COVERAGE,
                          help="gate: fraction of delivered messages that "
                               "must reconstruct into complete journeys "
-                              "(default 0.95)")
-    journey.add_argument("--stage-tolerance", type=float, default=0.10,
+                              f"(default {MIN_JOURNEY_COVERAGE})")
+    journey.add_argument("--stage-tolerance", type=float,
+                         default=MAX_STAGE_ERROR,
                          help="gate: worst allowed |stage sum - end-to-"
-                              "end| error (default 0.10)")
+                              f"end| error (default {MAX_STAGE_ERROR})")
     journey.add_argument("--limit", type=int, default=12,
                          help="journeys shown in the table (default 12)")
     journey.add_argument("--out", default=None, metavar="FILE",

@@ -127,8 +127,9 @@ class FrameKind(enum.IntEnum):
     EPOCH_REPLY = 9  #: recovery grant — seq = receiver's next expected
                      #: sequence number (a definitive cumulative ack),
                      #: aux = granted epoch, payload = selective acks
-    HEARTBEAT = 10   #: failure-detector liveness beacon — seq = beat number
-    CREDIT_UPDATE = 11  #: flow control — receiver→sender: payload = 4-word
+    # Kind 10 is unassigned (it carried a retired liveness beacon), so
+    # decoding it raises FrameError; do not reuse the number.
+    CREDIT_UPDATE = 11 #: flow control — receiver→sender: payload = 4-word
                         #: cumulative grant totals (see
                         #: :mod:`repro.runtime.flowcontrol`), aux = epoch;
                         #: sender→receiver with an *empty* payload: a credit
@@ -474,11 +475,6 @@ def epoch_reply_frame(channel: int, next_expected: int, epoch: int,
         kind=FrameKind.EPOCH_REPLY, channel=channel, seq=next_expected,
         aux=epoch, payload=payload,
     )
-
-
-def heartbeat_frame(channel: int, beat: int) -> Frame:
-    """A failure-detector liveness beacon."""
-    return Frame(kind=FrameKind.HEARTBEAT, channel=channel, seq=beat)
 
 
 def credit_update_frame(channel: int, credit: Sequence[int],

@@ -27,14 +27,17 @@ import asyncio
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from repro.analysis.timeshare import collapse_violations, fabric_collapse
 from repro.arch.attribution import Feature
 from repro.runtime.channels import LiveFramedChannel
 from repro.runtime.fabric import Fabric, FabricConnection
 from repro.runtime.flowcontrol import BackpressureSignal, FlowControlConfig
 from repro.runtime.reliability import BackoffPolicy
-from repro.runtime.runner import LOOPBACK_BACKOFF
+from repro.runtime.runner import LOOPBACK_BACKOFF, acks_violations
 from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import LatencyHistogram, Tracer
 
@@ -70,20 +73,10 @@ class LoadConfig:
     #: Per-channel credit window; None derives a default sized to a few
     #: send windows (generous at baseline load, binding at overload).
     flow: Optional[FlowControlConfig] = None
-    #: Liveness detector to run alongside the traffic: "none" (default),
-    #: "swim" (gossip membership), or "heartbeat" (legacy pairwise).
-    #: Arms the control-frame-rate measurement the membership benchmarks
-    #: gate on — SWIM's per-peer rate must stay flat as peers grow while
-    #: pairwise heartbeating scales O(N).
-    detector: str = "none"
 
     def __post_init__(self) -> None:
         if self.peers < 2:
             raise ValueError("a fabric load needs at least 2 peers")
-        if self.detector not in ("none", "swim", "heartbeat"):
-            raise ValueError(
-                f"unknown detector {self.detector!r}; "
-                "expected 'none', 'swim', or 'heartbeat'")
         if self.channels < 1 or self.messages < 1:
             raise ValueError("channels and messages must be positive")
         if self.message_words < 3:
@@ -179,22 +172,6 @@ class LoadResult:
         return self.wire.get("ack_datagrams", 0) / data if data else 0.0
 
     @property
-    def control_frames(self) -> int:
-        """Liveness-control datagrams (probes, relays, acks, beacons)
-        the configured detector put on the wire during the run."""
-        return self.wire.get("membership_datagrams", 0)
-
-    @property
-    def control_frames_per_peer_per_s(self) -> float:
-        """The membership-overhead metric: control datagrams each peer
-        sends per second.  Flat in the peer count for SWIM (bounded by
-        the probe fan-out k), linear for pairwise heartbeating."""
-        secs = self.wall_ns / 1e9
-        if not secs or not self.config.peers:
-            return 0.0
-        return self.control_frames / self.config.peers / secs
-
-    @property
     def messages_offered(self) -> int:
         """Everything the senders tried to submit (sent + shed)."""
         return self.messages_sent + self.messages_shed
@@ -237,10 +214,6 @@ class LoadResult:
             "latency": self.latency.to_dict(),
             "wire": dict(self.wire),
             "acks_per_data": self.acks_per_data,
-            "detector": self.config.detector,
-            "control_frames": self.control_frames,
-            "control_frames_per_peer_per_s":
-                self.control_frames_per_peer_per_s,
             "features": {
                 feature.value: {
                     "ns": self.feature_ns.get(feature, 0),
@@ -263,6 +236,103 @@ class LoadResult:
             f"({self.throughput_msgs_per_s:.0f} msg/s, "
             f"p99 {self.latency.p99 / 1e6:.2f}ms)"
         )
+
+
+#: At its highest offered-load factor a mode must still deliver at least
+#: this fraction of its 1x throughput: graceful degradation, not collapse.
+MIN_OVERLOAD_RETENTION = 0.5
+
+
+def load_violations(record: Mapping[str, Any]) -> List[str]:
+    """Every gate one fabric load record (:meth:`LoadResult.to_record`)
+    must pass: the run finished with nothing lost or corrupted, and a CR
+    cell ran none of the ordering/fault machinery."""
+    label = f"fabric {record.get('mode')}/p{record.get('peers')}"
+    problems = []
+    if not record.get("completed"):
+        problems.append(f"{label} did not complete: {record.get('errors')}")
+    for key, what in (("lost_messages", "lost"),
+                      ("corrupt_messages", "corrupted")):
+        if record.get(key) != 0:
+            problems.append(f"{label} {what} {record.get(key)} message(s)")
+    share = record.get("ordering_fault_share")
+    if record.get("mode") == "cr" and share != 0.0:
+        problems.append(f"{label} spent {share} of its time on ordering + "
+                        "fault tolerance the CR network provides")
+    return problems
+
+
+def fabric_collapse_violations(
+        records: Iterable[Mapping[str, Any]]) -> List[str]:
+    """Figure 6 under fan-out: at every peer count measured in both
+    modes, the ordering + fault-tolerance share collapses from CM-5 to
+    CR, and the CM-5 cell keeps its acks coalesced."""
+    records = list(records)
+    cm5 = {r.get("peers"): r for r in records if r.get("mode") == "cm5"}
+    problems = []
+    for peers, cell in fabric_collapse(records).items():
+        problems += collapse_violations(
+            f"fabric cm5/p{peers} -> cr/p{peers}",
+            cell["cm5_ordering_fault_share"], cell["cr_ordering_fault_share"])
+        problems += acks_violations(f"fabric cm5/p{peers}",
+                                    cm5[peers].get("acks_per_data"))
+    return problems
+
+
+def overload_violations(record: Mapping[str, Any]) -> List[str]:
+    """Every gate one overload record must pass: the run finished, the
+    exactly-once audit is spotless (shed messages are counted, never
+    stamped), and every peak buffer occupancy stayed inside its bound."""
+    label = (f"overload/{record.get('mode')}/"
+             f"{record.get('overload', 0.0):g}x")
+    problems = []
+    if not record.get("completed"):
+        problems.append(f"{label} did not complete: {record.get('errors')}")
+    audit = record.get("audit") or {}
+    if audit.get("violations") is None:
+        problems.append(f"{label} carries no audit verdict")
+    elif audit["violations"]:
+        problems.append(f"{label} audit found {audit['violations']} "
+                        f"exactly-once violation(s): {audit}")
+    peaks = record.get("peaks") or {}
+    for used, bound in (("reorder_parked", "reorder_window"),
+                        ("buffered_bytes", "window_bytes"),
+                        ("tracked", "send_window")):
+        if peaks.get(used, 0) > peaks.get(bound, 0):
+            problems.append(f"{label}: peak {used} {peaks.get(used)} "
+                            f"exceeded its {bound} {peaks.get(bound)}")
+    return problems
+
+
+def overload_retention(
+    records: Iterable[Mapping[str, Any]],
+) -> Dict[str, Tuple[float, float]]:
+    """Per mode: the highest offered-load factor and the share of the
+    mode's 1x throughput still delivered there."""
+    by_mode: Dict[str, List[Mapping[str, Any]]] = {}
+    for record in records:
+        by_mode.setdefault(record.get("mode"), []).append(record)
+    retention = {}
+    for mode, cell in sorted(by_mode.items()):
+        base = next((r["throughput_msgs_per_s"] for r in cell
+                     if r.get("overload") == 1.0), 0.0)
+        peak = max(cell, key=lambda r: r.get("overload", 0.0))
+        retention[mode] = (peak.get("overload", 0.0),
+                           peak["throughput_msgs_per_s"] / base
+                           if base else 0.0)
+    return retention
+
+
+def overload_retention_violations(
+        records: Iterable[Mapping[str, Any]]) -> List[str]:
+    """The survival curve's cross-row gate (see :func:`overload_retention`)."""
+    return [
+        f"overload/{mode}/{factor:g}x: throughput retained only "
+        f"{retained:.0%} of the 1x baseline "
+        f"(bound: >= {MIN_OVERLOAD_RETENTION:.0%})"
+        for mode, (factor, retained) in overload_retention(records).items()
+        if retained < MIN_OVERLOAD_RETENTION
+    ]
 
 
 def message_checksum(cid: int, index: int, filler: Sequence[int]) -> int:
@@ -585,23 +655,12 @@ async def run_load(config: LoadConfig,
     errors: List[str] = []
     completed = False
     lanes: List[_LoadChannel] = []
-    detector = None
     try:
         names = [f"p{i:03d}" for i in range(config.peers)]
         for name in names:
             await fabric.add_peer(name)
             if recorder is not None:
                 recorder.register_endpoint(fabric.peer(name))
-        if config.detector == "swim":
-            from repro.runtime.membership import SwimDetector
-            detector = SwimDetector(fabric)
-        elif config.detector == "heartbeat":
-            # Local import: chaos imports loadgen's sibling modules, so
-            # a top-level import here would be a cycle.
-            from repro.runtime.chaos import FailureDetector
-            detector = FailureDetector(fabric)
-        if detector is not None:
-            detector.start()
         pairs = spread_pairs(names, config.channels)
         flow = config.flow_config()
         reorder_window = max(256, 2 * config.window)
@@ -621,12 +680,6 @@ async def run_load(config: LoadConfig,
                 f"load {config.mode} x{config.peers} "
                 f"overload={config.overload:g} start")
             recorder.start()
-        # Control frames sent during setup (peer registration, channel
-        # connects) predate the timed window; subtract them so the
-        # per-peer rate below is frames-during-traffic over wall time.
-        control_baseline = (
-            fabric.wire_totals().get("membership_datagrams", 0)
-            if detector is not None else 0)
         start = time.perf_counter_ns()
         tasks = [asyncio.ensure_future(
                      lane.drive(config.message_words,
@@ -648,15 +701,9 @@ async def run_load(config: LoadConfig,
                     task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
         wall_ns = time.perf_counter_ns() - start
-        if detector is not None:
-            await detector.stop()
-            detector = None
 
         feature_ns = fabric.attribution_totals()
         wire = fabric.wire_totals()
-        if control_baseline:
-            wire["membership_datagrams"] = max(
-                0, wire.get("membership_datagrams", 0) - control_baseline)
         per_peer = fabric.endpoint_counters()
         # High-water buffer occupancies, gathered before teardown: the
         # quantities the credit window exists to bound.
@@ -679,8 +726,6 @@ async def run_load(config: LoadConfig,
             "send_stamp_limit": SEND_STAMP_LIMIT,
         }
     finally:
-        if detector is not None:
-            await detector.stop()
         if recorder is not None:
             await recorder.stop()
         await fabric.close()

@@ -1,11 +1,11 @@
 """SWIM-style gossip membership: scalable failure detection.
 
-The heartbeat :class:`~repro.runtime.chaos.FailureDetector` beacons
-every peer pairwise — O(N²) control frames per period, and a single
-latency spike ages healthy peers into DEAD with no way to recant.  This
-module replaces it with the SWIM discipline (Das et al.), sized so the
-paper's central concern — what fault tolerance *costs* on the messaging
-hot path — stays a measured constant instead of a quadratic:
+Pairwise heartbeating beacons every peer from every peer — O(N²)
+control frames per period, and a single latency spike ages healthy peers
+into DEAD with no way to recant.  This module uses the SWIM discipline
+(Das et al.) instead, sized so the paper's central concern — what fault
+tolerance *costs* on the messaging hot path — stays a measured constant
+instead of a quadratic:
 
 * **random-k probing** — each protocol period every member pings a
   random ``k``-subset of its view, so per-member probe load is O(k)
@@ -42,7 +42,7 @@ itself may advance) is what makes rumors safe to reorder:
 
 Everything here is charged to ``Feature.FAULT_TOLERANCE`` on the
 observer, so the SWIM control plane shows up in the timeshare reports
-exactly like the heartbeat detector it replaces.
+like the rest of the messaging layer's fault tolerance.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from repro.runtime.frames import (
 from repro.runtime.tracing import Counters, EventType, Tracer
 
 #: Well-known logical channel for SWIM membership traffic (clear of
-#: CH_HEARTBEAT=4 and CH_COLLECTIVE=5, below FIRST_FABRIC_CHANNEL).
+#: CH_COLLECTIVE=5, below FIRST_FABRIC_CHANNEL).
 CH_MEMBERSHIP = 6
 
 
@@ -287,12 +287,11 @@ class _Probe:
 class SwimDetector:
     """SWIM failure detection across every peer of a fabric.
 
-    Drop-in for the heartbeat detector's surface: ``start()`` /
-    ``await stop()``, per-(observer, subject) :meth:`state`,
-    :attr:`dead_at` (loop time of the first DEAD verdict per subject),
-    a :class:`Counters` registry, and an ``on_state_change`` callback.
-    On top of that it keeps :attr:`events` — every observed transition
-    with observer/subject/incarnation — for export and CI validation.
+    Surface: ``start()`` / ``await stop()``, per-(observer, subject)
+    :meth:`state`, :attr:`dead_at` (loop time of the first DEAD verdict
+    per subject), a :class:`Counters` registry, an ``on_state_change``
+    callback, and :attr:`events` — every observed transition with
+    observer/subject/incarnation — for export and CI validation.
     """
 
     def __init__(self, fabric: Fabric,
@@ -826,10 +825,6 @@ class SwimDetector:
                       + endpoint.sent_by_kind.get(FrameKind.PING_ACK, 0))
         return total
 
-    def forget(self, name: str) -> None:
-        """Compatibility shim mirroring the heartbeat detector."""
-        self._monitored.discard(name)
-
 
 # ---------------------------------------------------------------------------
 # measurement harnesses (bench rows + CLI)
@@ -897,6 +892,64 @@ async def run_membership_measure(peers: int, mode: str = "cm5",
         await detector.stop()
         await fabric.close()
     return record
+
+
+def member_violations(record: Dict[str, Any]) -> List[str]:
+    """Every gate one scaling row (:func:`run_membership_measure`) must
+    pass: the crash detected within the configured bound, no false DEAD
+    verdict, and per-peer control load under its k/j bound."""
+    label = f"member {record.get('mode')}/p{record.get('peers')}"
+    problems = []
+    latency = record.get("detection_latency_s")
+    bound = record.get("detection_bound_s") or 0.0
+    if latency is None:
+        problems.append(f"{label}: the detector missed the crash")
+    elif latency > bound:
+        problems.append(f"{label}: detection took {latency:.3f}s "
+                        f"(bound: {bound:.3f}s)")
+    if record.get("false_dead"):
+        problems.append(f"{label}: false DEAD verdicts for "
+                        f"{record['false_dead']}")
+    rate = record.get("control_frames_per_peer_per_period")
+    rate_bound = record.get("control_bound_per_period")
+    if rate is None or rate_bound is None:
+        problems.append(f"{label} carries no control-load figures")
+    elif rate > rate_bound:
+        problems.append(f"{label}: {rate:.1f} control frames/peer/period "
+                        f"crossed the {rate_bound:.1f} bound")
+    return problems
+
+
+#: Growing the fabric from its smallest to its largest measured size may
+#: grow the per-peer control-frame rate by at most this factor (pairwise
+#: heartbeating would grow it linearly with the peer count).
+MAX_CONTROL_GROWTH = 1.5
+
+
+def member_flatness_violations(records: List[Dict[str, Any]]) -> List[str]:
+    """The SWIM scaling claim across scaling rows: per mode, the per-peer
+    control-frame rate is positive and stays flat from the smallest to
+    the largest fabric."""
+    rates: Dict[str, Dict[int, float]] = {}
+    for record in records:
+        rate = record.get("control_frames_per_peer_per_period")
+        if rate is not None:
+            rates.setdefault(record.get("mode"), {})[record["peers"]] = rate
+    problems = []
+    for mode, by_size in sorted(rates.items()):
+        if len(by_size) < 2:
+            continue
+        small, large = min(by_size), max(by_size)
+        if by_size[small] <= 0:
+            problems.append(f"member {mode}/p{small} measured no control "
+                            "frames")
+        elif by_size[large] > by_size[small] * MAX_CONTROL_GROWTH:
+            problems.append(
+                f"member {mode}/p{small} -> {mode}/p{large}: per-peer "
+                f"control rate grew from {by_size[small]:.1f} to "
+                f"{by_size[large]:.1f} frames/period — not flat in the "
+                "fabric size")
+    return problems
 
 
 def measure_membership(peers: int, mode: str = "cm5",

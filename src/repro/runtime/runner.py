@@ -392,3 +392,80 @@ def measure_live(
             await pair.close()
 
     return asyncio.run(session())
+
+
+# ---------------------------------------------------------------------------
+# gates on the rows the runtime bench builds from measure_live results
+# ---------------------------------------------------------------------------
+
+#: Ack coalescing: fewer ack datagrams than this per data datagram.
+MAX_ACKS_PER_DATA = 0.5
+#: Share of go-back-N's resent data bytes selective repeat must save.
+MIN_SELECTIVE_REPEAT_SAVINGS = 0.5
+#: Sanity ceiling (percent) for tracing-on and journey-on overhead.
+TRACED_OVERHEAD_CEILING_PCT = 150.0
+#: Share of delivered messages that must rebuild into complete journeys,
+#: and the worst stage-sum error allowed against end-to-end latency.
+MIN_JOURNEY_COVERAGE = 0.95
+MAX_STAGE_ERROR = 0.10
+
+
+def acks_violations(label: str, acks_per_data: Optional[float]) -> List[str]:
+    """The ack-coalescing gate (see :data:`MAX_ACKS_PER_DATA`)."""
+    if acks_per_data is None or acks_per_data >= MAX_ACKS_PER_DATA:
+        return [f"{label}: {acks_per_data} ack datagrams per data datagram "
+                f"(bound: < {MAX_ACKS_PER_DATA})"]
+    return []
+
+
+def protocol_violations(cell: str, record: Dict[str, Any]) -> List[str]:
+    """A ``protocol/mode`` bench row: a CR cell runs none of the ordering
+    or fault machinery, and a CM-5 cell coalesces its acks (except the
+    single-packet protocol, which acks every packet by design)."""
+    protocol, _, mode = cell.partition("/")
+    features = record["breakdown"]["features"]
+    share = features["in_order"]["share"] + features["fault_tolerance"]["share"]
+    if mode == "cr" and share != 0.0:
+        return [f"{cell} spent {share:.1%} of its time on ordering + "
+                "fault tolerance the CR network provides"]
+    if mode == "cr" or protocol == "single":
+        return []
+    return acks_violations(cell, record["wire"].get("acks_per_data"))
+
+
+def selective_repeat_violations(row: Dict[str, Any]) -> List[str]:
+    """The bulk transfer's gate (see :data:`MIN_SELECTIVE_REPEAT_SAVINGS`)."""
+    savings = row.get("selective_repeat_savings")
+    if savings is None or savings < MIN_SELECTIVE_REPEAT_SAVINGS:
+        return [f"bulk_selective_repeat: selective repeat saved {savings} of "
+                "the go-back-N resend bytes (bound: >= "
+                f"{MIN_SELECTIVE_REPEAT_SAVINGS:.0%})"]
+    return []
+
+
+def traced_overhead_violations(label: str,
+                               overhead_pct: Optional[float]) -> List[str]:
+    """The sanity ceiling on a traced run's measured overhead."""
+    ceiling = TRACED_OVERHEAD_CEILING_PCT
+    if overhead_pct is not None and overhead_pct >= ceiling:
+        return [f"{label}: traced overhead {overhead_pct:.1f}% crossed the "
+                f"{ceiling:.0f}% sanity ceiling"]
+    return []
+
+
+def journey_violations(label: str, row: Dict[str, Any]) -> List[str]:
+    """An ``obs/{mode}`` bench row: journeys reconstruct with enough
+    coverage, their stage sums match end-to-end latency, and journey-on
+    overhead stays under the sanity ceiling."""
+    problems = []
+    coverage = row.get("journey_coverage")
+    if coverage is None or coverage < MIN_JOURNEY_COVERAGE:
+        problems.append(f"{label}: journey coverage {coverage} fell below "
+                        f"the {MIN_JOURNEY_COVERAGE:.0%} bound")
+    error = row.get("worst_stage_error")
+    if error is None or error > MAX_STAGE_ERROR:
+        problems.append(f"{label}: worst journey stage-sum error {error} "
+                        f"crossed the {MAX_STAGE_ERROR:.0%} bound")
+    return problems + traced_overhead_violations(
+        label, row.get("journey_overhead_pct"))
+

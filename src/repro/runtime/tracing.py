@@ -61,7 +61,7 @@ class EventType(enum.Enum):
     GIVE_UP = "GIVE_UP"        #: retry budget exhausted for a tracked frame
     TIMER_FIRE = "TIMER_FIRE"  #: a retransmit/delayed-ack timer fired
     CORRUPT = "CORRUPT"        #: a datagram failed its frame checksum
-    PEER_SUSPECT = "PEER_SUSPECT"  #: failure detector: heartbeats went quiet
+    PEER_SUSPECT = "PEER_SUSPECT"  #: failure detector: probes went unanswered
     PEER_DEAD = "PEER_DEAD"        #: failure detector: peer declared dead
     PEER_ALIVE = "PEER_ALIVE"      #: failure detector: peer (re)confirmed alive
     PEER_LEFT = "PEER_LEFT"        #: membership: peer departed gracefully

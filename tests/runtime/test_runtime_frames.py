@@ -24,7 +24,6 @@ from repro.runtime.frames import (
     iter_batch,
     epoch_reply_frame,
     epoch_req_frame,
-    heartbeat_frame,
 )
 
 
@@ -69,6 +68,21 @@ class TestDecodeErrors:
     def test_unknown_kind_rejected(self):
         data = bytearray(encode_frame(data_frame(1, 0, [1])))
         data[1] = 0xEE
+        with pytest.raises(FrameError):
+            decode_frame(bytes(data))
+
+    def test_retired_kind_10_stays_unassigned(self):
+        """Kind 10 carried the removed pairwise liveness beacon: it
+        decodes as unknown, and no other kind was renumbered."""
+        assert {kind.name: kind.value for kind in FrameKind} == {
+            "DATA": 1, "ACK": 2, "ALLOC_REQ": 3, "ALLOC_REPLY": 4,
+            "DEALLOC": 5, "FINAL_ACK": 6, "CUM_ACK": 7, "EPOCH_REQ": 8,
+            "EPOCH_REPLY": 9, "CREDIT_UPDATE": 11, "COLL_HDR": 12,
+            "COLL_GRANT": 13, "COLL_DONE": 14, "PING": 15, "PING_REQ": 16,
+            "PING_ACK": 17,
+        }
+        data = bytearray(encode_frame(data_frame(1, 0, [1])))
+        data[1] = 10
         with pytest.raises(FrameError):
             decode_frame(bytes(data))
 
@@ -130,11 +144,6 @@ class TestChaosHelpers:
         assert decoded.kind is FrameKind.EPOCH_REPLY
         assert (decoded.seq, decoded.aux) == (17, 3)
         assert decoded.payload == (19, 21)
-
-    def test_heartbeat_round_trips(self):
-        decoded = decode_frame(encode_frame(heartbeat_frame(4, beat=99)))
-        assert decoded.kind is FrameKind.HEARTBEAT
-        assert (decoded.channel, decoded.seq) == (4, 99)
 
 
 class TestFieldValidation:
