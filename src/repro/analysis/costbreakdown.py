@@ -6,9 +6,9 @@ applies the same discipline to *our* runtime: it micro-times every term
 a message crosses on the hot path — frame encode, frame decode
 (including the CRC), the container-batch variants, the per-send path in
 ``endpoint.post_frame`` (post, coalesced flush, hub delivery), span
-enter/exit, tracer and counter charges, timer-wheel arm/cancel churn,
-and flow-control window bookkeeping — and ranks them into a
-first-class table.
+enter/exit (alone, and nested as handlers use them), tracer and counter
+charges, timer-wheel arm/cancel churn, and flow-control window
+bookkeeping — and ranks them into a first-class table.
 
 Methodology
 -----------
@@ -178,9 +178,19 @@ def _measure_sync_terms(report: CostReport, ops: int, rounds: int) -> None:
             with span:
                 pass
 
+    def run_nested_span(n: int) -> None:
+        for _ in range(n):
+            with attribution.span(Feature.BASE):
+                with attribution.span(Feature.IN_ORDER):
+                    pass
+
     report.rows.append(CostRow(
         "span_enter_exit", _best_ns(run_span, ops, rounds), ops,
         "TimeAttribution span (two clock reads + bucket arithmetic)"))
+    report.rows.append(CostRow(
+        "span_nested", _best_ns(run_nested_span, ops, rounds), ops,
+        "what a handler pays: span(F) looked up per use, one nested "
+        "child"))
     report.rows.append(CostRow(
         "span_disabled", _best_ns(run_null_span, ops, rounds), ops,
         "NullTimeAttribution span (the disabled fast path)"))

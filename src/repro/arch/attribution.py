@@ -36,6 +36,11 @@ class Feature(enum.Enum):
     USER = "user"
     FLOW_CONTROL = "flow_control"
 
+    # Members are singletons, so identity is equality: hash by identity
+    # at C level instead of Enum's Python-level ``hash(self._name_)``.
+    # Feature-keyed dicts sit on the runtime's per-message path.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

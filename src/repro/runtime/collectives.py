@@ -684,13 +684,14 @@ class CollectiveGroup:
                 f"all_reduce vectors differ in length: {sorted(lengths)}")
         root = root or self.members[0]
         self._check_membership(root)
+        # Everything is copied at call time: the caller may reuse its
+        # buffers while the op is in flight, and the root folds what
+        # its peers actually sent, not what their buffers hold later.
+        reduced = [w & 0xFFFFFFFF for w in values[root]]
         legs = [(peer, root, list(words))
                 for peer, words in values.items() if peer != root]
         reduce_phase = await self._run_phase("all_reduce", root, legs)
-        reduced = [w & 0xFFFFFFFF for w in values[root]]
-        for peer, words in values.items():
-            if peer == root:
-                continue
+        for words in reduce_phase.received.values():
             reduced = [reducer(acc, w & 0xFFFFFFFF)
                        for acc, w in zip(reduced, words)]
         bcast_legs = [(root, peer, reduced)

@@ -19,13 +19,20 @@ Semantics mirror the instruction-count stack exactly:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.arch.attribution import Feature, FEATURE_ORDER, OVERHEAD_FEATURES
 
 #: Module-level binding: one global load instead of two attribute
 #: lookups on every span boundary.
 _now = time.perf_counter_ns
+
+
+#: Every feature in definition order, and each feature's fixed index
+#: into the per-feature lists below: the hot path indexes a list by a
+#: small int instead of hashing an enum member.
+_FEATURES = tuple(Feature)
+_INDEX = {feature: index for index, feature in enumerate(_FEATURES)}
 
 
 class TimeAttribution:
@@ -39,17 +46,20 @@ class TimeAttribution:
     """
 
     def __init__(self) -> None:
-        self._ns: Dict[Feature, int] = {feature: 0 for feature in Feature}
-        self._spans: Dict[Feature, int] = {feature: 0 for feature in Feature}
-        self._stack: list = []
+        # Buckets and span counts, indexed by ``_INDEX[feature]``.  The
+        # lists are only ever updated in place, so every span may keep
+        # its own reference to them.
+        self._ns: List[int] = [0] * len(_FEATURES)
+        self._spans: List[int] = [0] * len(_FEATURES)
+        self._stack: List[_Span] = []
         self._mark: int = 0
         self.on_charge: Optional[Callable[[Feature, int], None]] = None
         # One reusable context manager per feature: spans hold no
         # per-entry state (the stack lives here), so handing out the
         # same object — even nested — is safe, and the hot path
         # allocates nothing.
-        self._span_cache: Dict[Feature, "_Span"] = {
-            feature: _Span(self, feature) for feature in Feature
+        self._span_cache: Dict[Feature, _Span] = {
+            feature: _Span(self, feature) for feature in _FEATURES
         }
 
     # -- span machinery -------------------------------------------------------
@@ -64,62 +74,35 @@ class TimeAttribution:
     @property
     def current(self) -> Optional[Feature]:
         """The feature charges currently land in (``None`` outside spans)."""
-        return self._stack[-1] if self._stack else None
-
-    def _enter(self, feature: Feature) -> None:
-        now = _now()
-        if self._stack:
-            # Pause the parent: bank what it has accrued so far.
-            parent = self._stack[-1]
-            delta = now - self._mark
-            self._ns[parent] += delta
-            if self.on_charge is not None:
-                self.on_charge(parent, delta)
-        self._stack.append(feature)
-        self._spans[feature] += 1
-        self._mark = now
-
-    def _exit(self, feature: Feature) -> None:
-        now = _now()
-        popped = self._stack.pop()
-        if popped is not feature:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"span stack corrupted: popped {popped}, expected {feature}"
-            )
-        delta = now - self._mark
-        self._ns[popped] += delta
-        if self.on_charge is not None:
-            self.on_charge(popped, delta)
-        # Resume the parent's clock (if any).
-        self._mark = now
+        return self._stack[-1]._feature if self._stack else None
 
     def charge_ns(self, feature: Feature, ns: int) -> None:
         """Manually add ``ns`` to a bucket (merging external measurements)."""
         if ns < 0:
             raise ValueError("cannot charge negative time")
-        self._ns[feature] += ns
+        self._ns[_INDEX[feature]] += ns
         if self.on_charge is not None:
             self.on_charge(feature, ns)
 
     # -- results ------------------------------------------------------------------
 
     def ns(self, feature: Feature) -> int:
-        return self._ns[feature]
+        return self._ns[_INDEX[feature]]
 
     def span_count(self, feature: Feature) -> int:
-        return self._spans[feature]
+        return self._spans[_INDEX[feature]]
 
     def snapshot(self) -> Dict[Feature, int]:
         """A copy of the per-feature totals (safe to keep after more runs)."""
-        return dict(self._ns)
+        return dict(zip(_FEATURES, self._ns))
 
     @property
     def total_ns(self) -> int:
-        return sum(self._ns[feature] for feature in FEATURE_ORDER)
+        return sum(self.ns(feature) for feature in FEATURE_ORDER)
 
     @property
     def overhead_ns(self) -> int:
-        return sum(self._ns[feature] for feature in OVERHEAD_FEATURES)
+        return sum(self.ns(feature) for feature in OVERHEAD_FEATURES)
 
     @property
     def overhead_fraction(self) -> float:
@@ -128,51 +111,82 @@ class TimeAttribution:
 
     def merge(self, other: "TimeAttribution") -> None:
         """Fold another accumulator's totals into this one."""
-        for feature, ns in other._ns.items():
-            self._ns[feature] += ns
-        for feature, count in other._spans.items():
-            self._spans[feature] += count
+        for index, (ns, count) in enumerate(zip(other._ns, other._spans)):
+            self._ns[index] += ns
+            self._spans[index] += count
 
     def reset(self) -> None:
         if self._stack:
             # Name the leaked feature(s), innermost last, so the error
             # pinpoints which span failed to unwind (cf. a queue's
             # drain() assertion naming what was left behind).
-            leaked = " -> ".join(feature.value for feature in self._stack)
+            leaked = " -> ".join(span._feature.value for span in self._stack)
             raise RuntimeError(
                 f"cannot reset while spans are active: leaked [{leaked}] — "
                 "a span's __exit__ never ran (or reset raced a live run)"
             )
-        for feature in self._ns:
-            self._ns[feature] = 0
-            self._spans[feature] = 0
+        self._ns[:] = [0] * len(_FEATURES)
+        self._spans[:] = [0] * len(_FEATURES)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(
-            f"{feature.value}={self._ns[feature] / 1e3:.1f}us"
+            f"{feature.value}={self.ns(feature) / 1e3:.1f}us"
             for feature in FEATURE_ORDER
-            if self._ns[feature]
+            if self.ns(feature)
         )
         return f"TimeAttribution({parts or 'empty'})"
 
 
 class _Span:
-    """The context manager returned by :meth:`TimeAttribution.span`."""
+    """The context manager returned by :meth:`TimeAttribution.span`.
 
-    __slots__ = ("_attr", "_feature")
+    Entering pauses the parent span (banks what it accrued so far) and
+    starts this one; exiting banks this span's slice and resumes the
+    parent's clock.  Both run inline, on the owner's lists, because
+    every message crosses several span boundaries.
+    """
+
+    __slots__ = ("_attr", "_feature", "_index", "_ns", "_spans", "_stack")
 
     def __init__(self, attr: TimeAttribution, feature: Feature) -> None:
-        if not isinstance(feature, Feature):
-            raise TypeError(f"expected a Feature, got {feature!r}")
         self._attr = attr
         self._feature = feature
+        self._index = _INDEX[feature]
+        self._ns = attr._ns
+        self._spans = attr._spans
+        self._stack = attr._stack
 
     def __enter__(self) -> "_Span":
-        self._attr._enter(self._feature)
+        now = _now()
+        attr = self._attr
+        stack = self._stack
+        if stack:
+            # Pause the parent: bank what it has accrued so far.
+            parent = stack[-1]
+            delta = now - attr._mark
+            self._ns[parent._index] += delta
+            if attr.on_charge is not None:
+                attr.on_charge(parent._feature, delta)
+        stack.append(self)
+        self._spans[self._index] += 1
+        attr._mark = now
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._attr._exit(self._feature)
+        now = _now()
+        attr = self._attr
+        popped = self._stack.pop()
+        if popped is not self:  # pragma: no cover - defensive
+            raise RuntimeError(
+                f"span stack corrupted: popped {popped._feature}, "
+                f"expected {self._feature}"
+            )
+        delta = now - attr._mark
+        self._ns[self._index] += delta
+        if attr.on_charge is not None:
+            attr.on_charge(self._feature, delta)
+        # Resume the parent's clock (if any).
+        attr._mark = now
 
 
 class _NullSpan:

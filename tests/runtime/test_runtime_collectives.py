@@ -165,6 +165,62 @@ class TestCollectiveOps:
         assert result.result == [9, 12]
         assert all(v == [9, 12] for v in result.received.values())
 
+    @pytest.mark.parametrize("op", ["sum", "max", "min"])
+    def test_all_reduce_ops_on_words_near_the_wrap(self, drive, op):
+        """Each reduction folds full 32-bit words; ``sum`` wraps at
+        2**32 like the word the wire carries."""
+        values = {"a": [0xFFFFFFFF, 0xFFFFFFFE, 1, 0, 0x80000000],
+                  "b": [1, 0xFFFFFFFF, 0xFFFFFFF0, 0, 0x80000000],
+                  "c": [0xFFFFFFFF, 2, 0x7FFFFFFF, 0xFFFFFFFF, 5]}
+        fold = {"sum": lambda acc, w: (acc + w) % 2**32,
+                "max": lambda acc, w: acc if acc >= w else w,
+                "min": lambda acc, w: acc if acc <= w else w}[op]
+        expected = []
+        for column in zip(*values.values()):
+            acc = column[0]
+            for word in column[1:]:
+                acc = fold(acc, word)
+            expected.append(acc)
+
+        async def scenario():
+            fabric = await fabric_with_peers(["a", "b", "c"])
+            group = fabric.collective()
+            try:
+                return await group.all_reduce(values, op=op)
+            finally:
+                await group.close()
+                await fabric.close()
+
+        result = drive(scenario())
+        assert result.completed
+        assert result.result == expected
+        assert all(v == expected for v in result.received.values())
+
+    def test_all_reduce_folds_the_words_sent_not_the_callers_buffers(
+            self, drive):
+        """The caller reuses its buffers while the op is in flight: the
+        result is the reduction of the vectors as they were at the
+        call, which is also what the wire carried."""
+        values = {"a": [1, 2], "b": [3, 4], "c": [5, 6]}
+
+        async def scenario():
+            fabric = await fabric_with_peers(["a", "b", "c"])
+            group = fabric.collective()
+            try:
+                task = asyncio.ensure_future(group.all_reduce(values))
+                await asyncio.sleep(0)
+                values["b"][0] = 100        # a contributor's buffer
+                values["a"][1] = 100        # the root's own buffer
+                return await task
+            finally:
+                await group.close()
+                await fabric.close()
+
+        result = drive(scenario())
+        assert result.completed
+        assert result.result == [9, 12]
+        assert all(v == [9, 12] for v in result.received.values())
+
     def test_all_reduce_runs_both_phases_over_rendezvous(self, drive):
         """Above the threshold, both the reduce and the redistribute
         phase ride the bulk protocol — 2·(N−1) rendezvous legs."""

@@ -3,8 +3,11 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch.attribution import Feature
+from repro.arch.attribution import FEATURE_ORDER, OVERHEAD_FEATURES, Feature
+from repro.runtime import spans
 from repro.runtime.spans import TimeAttribution
 
 
@@ -151,3 +154,143 @@ class TestAccounting:
             observed[feature] = observed.get(feature, 0) + ns
         for feature, total in observed.items():
             assert total == attr.ns(feature)
+
+
+# -- reference model ----------------------------------------------------------
+
+
+class FakeClock:
+    """A ``perf_counter_ns`` stand-in that moves only when told to."""
+
+    def __init__(self) -> None:
+        self.now = 10**12
+
+    def __call__(self) -> int:
+        return self.now
+
+
+class Boom(Exception):
+    """Raised inside generated spans; caught by ``catch`` nodes."""
+
+
+class ReferenceAttribution:
+    """The accounting rule stated directly: elapsed time goes to the
+    innermost open span as it elapses, and an ``on_charge`` slice ends
+    at every span boundary."""
+
+    def __init__(self) -> None:
+        self.ns = {feature: 0 for feature in Feature}
+        self.spans = {feature: 0 for feature in Feature}
+        self.stack = []
+        self.pending = 0        # time the innermost span accrued so far
+        self.slices = []
+
+    def tick(self, ns):
+        if self.stack:
+            self.ns[self.stack[-1]] += ns
+            self.pending += ns
+
+    def enter(self, feature):
+        if self.stack:
+            self.slices.append((self.stack[-1], self.pending))
+        self.stack.append(feature)
+        self.spans[feature] += 1
+        self.pending = 0
+
+    def exit(self):
+        self.slices.append((self.stack.pop(), self.pending))
+        self.pending = 0
+
+    def charge(self, feature, ns):
+        self.ns[feature] += ns
+        self.slices.append((feature, ns))
+
+
+features = st.sampled_from(list(Feature))
+ticks = st.integers(min_value=0, max_value=10**6)
+leaves = st.one_of(
+    st.tuples(st.just("tick"), ticks),
+    st.tuples(st.just("charge"), features, ticks),
+    st.tuples(st.just("merge"),
+              st.lists(st.tuples(features, ticks), max_size=3)),
+)
+programs = st.recursive(
+    st.lists(leaves, max_size=4),
+    lambda bodies: st.lists(st.one_of(
+        leaves,
+        st.tuples(st.just("span"), features, bodies, st.booleans()),
+        st.tuples(st.just("catch"), bodies),
+    ), max_size=4),
+    max_leaves=40,
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(program=programs, observe=st.booleans())
+    def test_generated_programs_match_the_reference(self, program, observe):
+        clock = FakeClock()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spans, "_now", clock)
+            attr = TimeAttribution()
+            ref = ReferenceAttribution()
+            seen = []
+            if observe:
+                attr.on_charge = lambda feature, ns: seen.append((feature, ns))
+
+            def tick(ns):
+                clock.now += ns
+                ref.tick(ns)
+
+            def run(ops):
+                for op in ops:
+                    kind = op[0]
+                    if kind == "tick":
+                        tick(op[1])
+                    elif kind == "charge":
+                        attr.charge_ns(op[1], op[2])
+                        ref.charge(op[1], op[2])
+                    elif kind == "merge":
+                        other = TimeAttribution()
+                        for feature, ns in op[1]:
+                            with other.span(feature):
+                                tick(ns)
+                            ref.ns[feature] += ns
+                            ref.spans[feature] += 1
+                        attr.merge(other)
+                    elif kind == "span":
+                        _, feature, body, raises = op
+                        ref.enter(feature)
+                        try:
+                            with attr.span(feature):
+                                assert attr.current is feature
+                                run(body)
+                                if raises:
+                                    raise Boom
+                        finally:
+                            ref.exit()
+                    else:
+                        try:
+                            run(op[1])
+                        except Boom:
+                            pass
+                    assert attr.current is (ref.stack[-1] if ref.stack
+                                            else None)
+
+            try:
+                run(program)
+            except Boom:
+                pass
+
+        assert attr.current is None
+        assert attr.snapshot() == ref.ns
+        for feature in Feature:
+            assert attr.ns(feature) == ref.ns[feature]
+            assert attr.span_count(feature) == ref.spans[feature]
+        assert attr.total_ns == sum(ref.ns[f] for f in FEATURE_ORDER)
+        assert attr.overhead_ns == sum(ref.ns[f] for f in OVERHEAD_FEATURES)
+        if observe:
+            assert seen == ref.slices
+        attr.reset()
+        assert attr.snapshot() == {feature: 0 for feature in Feature}
+        assert all(attr.span_count(f) == 0 for f in Feature)
