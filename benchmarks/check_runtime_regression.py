@@ -41,6 +41,7 @@ from repro.runtime.loadgen import (
     load_violations,
     overload_retention_violations,
     overload_violations,
+    speedup_violations,
 )
 from repro.runtime.membership import (
     member_flatness_violations,
@@ -238,13 +239,9 @@ def check(baseline: dict, fresh: dict) -> list:
                 f"(floor {base_thr / RELATIVE_SLACK:.0f} at "
                 f"{RELATIVE_SLACK}x slack)"
             )
-    base_speedup = _dig(baseline, "fabric", "cm5/p2",
-                        "speedup_vs_pre_overhaul")
-    if base_speedup is not None and base_speedup < 5.0:
-        problems.append(
-            f"committed baseline's fabric cm5/p2 speedup "
-            f"{base_speedup:.1f}x fell below the 5x overhaul gate"
-        )
+    for record in (_dig(baseline, "fabric", default={}) or {}).values():
+        problems += [f"committed baseline's {problem}"
+                     for problem in speedup_violations(record)]
 
     # --- overload survival (ISSUE 6) ----------------------------------
     overload = _dig(fresh, "overload", default={}) or {}

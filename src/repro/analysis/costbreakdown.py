@@ -253,7 +253,7 @@ async def _measure_async_terms(report: CostReport, ops: int,
                                rounds: int) -> None:
     words = tuple(range(report.payload_words))
 
-    async def _noop_resend(key, data) -> None:
+    def _noop_resend(key, data) -> None:
         return None
 
     retx = Retransmitter(

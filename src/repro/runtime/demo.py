@@ -47,7 +47,6 @@ from repro.analysis.journey import (
     render_stage_summary,
 )
 from repro.analysis.tracereport import (
-    crosscheck_features,
     lifecycle_spans,
     reconstruct_lifecycles,
     render_trace_report,
@@ -64,11 +63,11 @@ from repro.runtime.loadgen import (
     sweep_overload,
 )
 from repro.runtime.runner import (
-    MAX_STAGE_ERROR,
-    MIN_JOURNEY_COVERAGE,
     PROTOCOL_NAMES,
     RuntimeRunResult,
+    journey_violations,
     measure_live,
+    trace_violations,
 )
 from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import (
@@ -268,62 +267,58 @@ def run_bench(args) -> int:
     return 0
 
 
+def _traced_cells(args):
+    """Run every protocol × mode cell with its own tracer, yielding
+    ``(label, result, tracer)`` (the ``trace``/``journey`` harness)."""
+    for protocol in PROTOCOL_NAMES:
+        for mode in ("cm5", "cr"):
+            tracer = Tracer(capacity=args.trace_capacity)
+            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
+            result = measure_live(
+                protocol, mode=mode, transport="loopback",
+                message_words=args.packets * args.packet_words,
+                packet_words=args.packet_words, deadline=args.deadline,
+                tracer=tracer, **kwargs,
+            )
+            yield f"{protocol}/{mode}", result, tracer
+
+
 def run_trace(args) -> int:
     """The ``runtime trace`` command; returns a process exit code.
 
-    Runs every protocol × mode cell with tracing enabled, checks that
-    each cell yields at least one *complete* per-packet lifecycle
-    (send → recv → deliver), cross-checks the tracer's histogram-derived
-    feature totals against the ``TimeAttribution`` buckets (within 10%),
-    prints the per-packet latency report, and exports the merged event
-    stream to ``--out``.
+    Runs every protocol × mode cell with tracing enabled, gates each
+    through :func:`~repro.runtime.runner.trace_violations` (the run
+    completed, at least one *complete* per-packet lifecycle, and the
+    tracer's histogram-derived feature totals agree with the
+    ``TimeAttribution`` buckets), prints the per-packet latency report,
+    and exports the merged event stream to ``--out``.
     """
     failures = 0
-    message_words = args.packets * args.packet_words
     all_events: List[TraceEvent] = []
     all_lifecycles = []
     total_overwritten = 0
 
     print("repro live runtime trace — per-packet lifecycles\n")
-    for protocol in PROTOCOL_NAMES:
-        for mode in ("cm5", "cr"):
-            label = f"{protocol}/{mode}"
-            tracer = Tracer(capacity=args.trace_capacity)
-            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
-            result = measure_live(
-                protocol, mode=mode, transport="loopback",
-                message_words=message_words, packet_words=args.packet_words,
-                deadline=args.deadline, tracer=tracer, **kwargs,
-            )
-            events = tracer.events()
-            lifecycles = reconstruct_lifecycles(events)
-            complete = sum(1 for pkt in lifecycles if pkt.complete)
-            buckets = {
-                feature: result.src_ns.get(feature, 0)
-                + result.dst_ns.get(feature, 0)
-                for feature in Feature
-            }
-            problems = crosscheck_features(
-                tracer.feature_totals(), buckets, tolerance=0.10
-            )
-            ok = result.completed and complete >= 1 and not problems
-            if not ok:
-                failures += 1
-            print(
-                f"  [{'ok' if ok else 'FAIL'}] {label}: {len(events)} events, "
-                f"{complete}/{len(lifecycles)} complete lifecycles, "
-                f"retransmissions={result.retransmissions}, "
-                f"attribution cross-check "
-                f"{'agrees' if not problems else 'DISAGREES'}"
-            )
-            for problem in problems:
-                print(f"        {problem}")
-            if tracer.overwritten:
-                print(f"        (ring wrapped: {tracer.overwritten} oldest "
-                      "events overwritten)")
-            total_overwritten += tracer.overwritten
-            all_events.extend(events)
-            all_lifecycles.extend(lifecycles)
+    for label, result, tracer in _traced_cells(args):
+        events = tracer.events()
+        lifecycles = reconstruct_lifecycles(events)
+        complete = sum(1 for pkt in lifecycles if pkt.complete)
+        row = {"completed": result.completed,
+               "complete_lifecycles": complete,
+               "trace_feature_ns": tracer.feature_totals(),
+               "attribution_ns": {f: result.src_ns.get(f, 0)
+                                  + result.dst_ns.get(f, 0) for f in Feature}}
+        failures += _verdict(
+            f"{label}: {len(events)} events, "
+            f"{complete}/{len(lifecycles)} complete lifecycles, "
+            f"retransmissions={result.retransmissions}",
+            trace_violations(label, row))
+        if tracer.overwritten:
+            print(f"        (ring wrapped: {tracer.overwritten} oldest "
+                  "events overwritten)")
+        total_overwritten += tracer.overwritten
+        all_events.extend(events)
+        all_lifecycles.extend(lifecycles)
 
     print()
     print(render_trace_report(all_lifecycles,
@@ -346,49 +341,35 @@ def run_journey(args) -> int:
     delivered message's *cross-peer journey* from the wire-propagated
     trace context: sender queue wait → batch-flush wait → wire →
     decode → reorder park → deliver, plus the ack return leg.  Gates
-    the journey contract: at least ``--min-coverage`` of delivered
-    messages reconstruct into complete journeys, and every journey's
-    stage sum matches its end-to-end latency within
-    ``--stage-tolerance``.
+    each cell through :func:`~repro.runtime.runner.journey_violations`:
+    enough delivered messages reconstruct into complete journeys, and
+    every journey's stage sum matches its end-to-end latency.
     """
     failures = 0
-    message_words = args.packets * args.packet_words
     all_journeys = []
     all_events: List[TraceEvent] = []
 
     print("repro journey — cross-peer critical-path decomposition\n")
-    for protocol in PROTOCOL_NAMES:
-        for mode in ("cm5", "cr"):
-            label = f"{protocol}/{mode}"
-            tracer = Tracer(capacity=args.trace_capacity)
-            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
-            result = measure_live(
-                protocol, mode=mode, transport="loopback",
-                message_words=message_words, packet_words=args.packet_words,
-                deadline=args.deadline, tracer=tracer, **kwargs,
-            )
-            events = tracer.events()
-            journeys = reconstruct_journeys(events)
-            stats = journey_stats(journeys)
-            ok = (result.completed
-                  and stats.coverage >= args.min_coverage
-                  and stats.worst_stage_error <= args.stage_tolerance)
-            if not ok:
-                failures += 1
-            print(
-                f"  [{'ok' if ok else 'FAIL'}] {label}: "
-                f"{stats.complete}/{stats.delivered} journeys complete "
-                f"({100.0 * stats.coverage:.1f}% coverage), "
-                f"{stats.context_matched} context-matched, "
-                f"{stats.retransmitted} retransmitted, "
-                f"worst stage-sum error "
-                f"{100.0 * stats.worst_stage_error:.2f}%"
-            )
-            if tracer.overwritten:
-                print(f"        (ring wrapped: {tracer.overwritten} oldest "
-                      "events overwritten)")
-            all_journeys.extend(journeys)
-            all_events.extend(events)
+    for label, result, tracer in _traced_cells(args):
+        events = tracer.events()
+        journeys = reconstruct_journeys(events)
+        stats = journey_stats(journeys)
+        row = {"completed": result.completed,
+               "journey_coverage": stats.coverage,
+               "worst_stage_error": stats.worst_stage_error}
+        failures += _verdict(
+            f"{label}: {stats.complete}/{stats.delivered} journeys complete "
+            f"({100.0 * stats.coverage:.1f}% coverage), "
+            f"{stats.context_matched} context-matched, "
+            f"{stats.retransmitted} retransmitted, "
+            f"worst stage-sum error "
+            f"{100.0 * stats.worst_stage_error:.2f}%",
+            journey_violations(label, row))
+        if tracer.overwritten:
+            print(f"        (ring wrapped: {tracer.overwritten} oldest "
+                  "events overwritten)")
+        all_journeys.extend(journeys)
+        all_events.extend(events)
 
     print()
     print(render_journey_table(all_journeys, limit=args.limit))
@@ -1130,15 +1111,6 @@ def add_runtime_subparsers(parser) -> None:
     journey.add_argument("--packet-words", type=int, default=16)
     journey.add_argument("--seed", type=int, default=0x5CA1E)
     journey.add_argument("--deadline", type=float, default=60.0)
-    journey.add_argument("--min-coverage", type=float,
-                         default=MIN_JOURNEY_COVERAGE,
-                         help="gate: fraction of delivered messages that "
-                              "must reconstruct into complete journeys "
-                              f"(default {MIN_JOURNEY_COVERAGE})")
-    journey.add_argument("--stage-tolerance", type=float,
-                         default=MAX_STAGE_ERROR,
-                         help="gate: worst allowed |stage sum - end-to-"
-                              f"end| error (default {MAX_STAGE_ERROR})")
     journey.add_argument("--limit", type=int, default=12,
                          help="journeys shown in the table (default 12)")
     journey.add_argument("--out", default=None, metavar="FILE",

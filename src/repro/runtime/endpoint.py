@@ -12,13 +12,13 @@ Outbound frames are *batched*: ``send_frame``/``post_frame`` encode and
 enqueue, and one flush callback per event-loop tick coalesces every
 frame bound for the same peer into a single batch-container datagram
 (see :func:`repro.runtime.frames.encode_batch`).  The flush pushes
-datagrams through the transport's synchronous ``send_now`` fast path, so
-the hot path creates **no asyncio tasks at all** — and because each
-destination has exactly one FIFO queue drained by one flush, two frames
-for the same channel can never reach the wire out of order (the hazard
-the old task-per-frame ``post_frame`` had).  Receivers unbundle batches
-transparently before dispatch; protocol state machines only ever see
-bare frames.
+each datagram through the transport's synchronous ``send_now``, the one
+send path the runtime has, so sending creates **no asyncio tasks at
+all** — and because each destination has exactly one FIFO queue drained
+by one flush, two frames for the same channel can never reach the wire
+out of order.  A ``send_now`` that raises costs its datagram and ticks
+``send_errors``.  Receivers unbundle batches transparently before
+dispatch; protocol state machines only ever see bare frames.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 import asyncio
 import time
 import zlib
-from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
@@ -100,11 +99,6 @@ class RuntimeEndpoint:
         # untraced runs never touch it.
         self._out_meta: Dict[Address, List[Tuple[int, int, int, str]]] = {}
         self._flush_scheduled = False
-        # Fallback for transports without a synchronous fast path: a
-        # single drainer task preserves global FIFO order (strongly
-        # referenced here so asyncio cannot garbage-collect it).
-        self._backlog: Deque[Tuple[Address, bytes]] = deque()
-        self._drainer: Optional["asyncio.Task"] = None
         transport.set_receiver(self._on_datagram)
 
     # -- service flags (forwarded from the transport) -------------------------
@@ -267,9 +261,6 @@ class RuntimeEndpoint:
                         <= MAX_PAYLOAD_WORDS):
                     ctx = trace_context_words(self.trace_origin, send_ns)
                 data = encode_frame(frame, ctx)
-                self.counters.inc("frames_sent")
-                self.sent_by_kind[frame.kind] = \
-                    self.sent_by_kind.get(frame.kind, 0) + 1
                 if frame.kind in ACK_KINDS:
                     etype = EventType.ACK_TX
                 elif frame.kind is FrameKind.CREDIT_UPDATE:
@@ -282,16 +273,13 @@ class RuntimeEndpoint:
                     aux=frame.aux, kind=frame.kind.name, feature=feature,
                     ts_ns=send_ns,
                 )
-                meta = self._out_meta.get(dst)
-                if meta is None:
-                    meta = self._out_meta[dst] = []
-                meta.append((frame.channel, frame.seq, frame.aux,
-                             frame.kind.name))
+                self._out_meta.setdefault(dst, []).append(
+                    (frame.channel, frame.seq, frame.aux, frame.kind.name))
             else:
                 data = encode_frame(frame)
-                self.counters.inc("frames_sent")
-                self.sent_by_kind[frame.kind] = \
-                    self.sent_by_kind.get(frame.kind, 0) + 1
+            self.counters.inc("frames_sent")
+            self.sent_by_kind[frame.kind] = \
+                self.sent_by_kind.get(frame.kind, 0) + 1
             queue = self._out.get(dst)
             if queue is None:
                 queue = self._out[dst] = []
@@ -332,15 +320,12 @@ class RuntimeEndpoint:
             self._out_meta = {}
             self._flush_traced(queues, metas)
             return
-        # getattr, not attribute access: tests duck-type transports with
-        # only the async half of the interface.
-        send_now = getattr(self.transport, "send_now", None)
+        send_now = self.transport.send_now
         with self.attribution.span(Feature.BASE):
             for dst, datagrams in queues.items():
-                for wire in self._bundle(datagrams):
+                for wire, _count in self._bundle(datagrams):
                     try:
-                        if send_now is None or not send_now(dst, wire):
-                            self._defer(dst, wire)
+                        send_now(dst, wire)
                     except Exception:
                         self.counters.inc("send_errors")
 
@@ -355,25 +340,22 @@ class RuntimeEndpoint:
         of the SEND→wire gap spent *inside* the flush (coalescing,
         earlier datagrams of the same tick) as opposed to waiting for
         the tick to run.  Kept out of the untraced :meth:`_flush` so
-        the disabled path stays byte-identical to PR 7's hot path.
+        the disabled path stays lean.
         """
-        send_now = getattr(self.transport, "send_now", None)
+        send_now = self.transport.send_now
         emit = self.tracer.emit
         with self.attribution.span(Feature.BASE):
             tick_start = time.perf_counter_ns()
             for dst, datagrams in queues.items():
                 meta = metas.get(dst, [])
                 index = 0
-                for wire, count in self._bundle_counted(datagrams):
-                    deliver = True
+                for wire, count in self._bundle(datagrams):
                     try:
-                        if send_now is None or not send_now(dst, wire):
-                            self._defer(dst, wire)
+                        send_now(dst, wire)
                     except Exception:
                         self.counters.inc("send_errors")
-                        deliver = False
-                    now = time.perf_counter_ns()
-                    if deliver:
+                    else:
+                        now = time.perf_counter_ns()
                         for channel, seq, aux, kind in \
                                 meta[index:index + count]:
                             emit(EventType.FLUSH, endpoint=self.name,
@@ -382,11 +364,10 @@ class RuntimeEndpoint:
                                  ts_ns=now, dur_ns=now - tick_start)
                     index += count
 
-    def _bundle_counted(
-        self, datagrams: List[bytes],
-    ) -> Iterator[Tuple[bytes, int]]:
-        """:meth:`_bundle`, but each wire datagram carries the number of
-        logical frames it covers (for FLUSH event bookkeeping)."""
+    def _bundle(self, datagrams: List[bytes]) -> Iterator[Tuple[bytes, int]]:
+        """Yield ``(wire datagram, frames it covers)``: singletons as-is,
+        runs as containers.  The count feeds the traced flush's FLUSH
+        events; the untraced flush ignores it."""
         if len(datagrams) == 1:
             yield datagrams[0], 1
             return
@@ -406,49 +387,10 @@ class RuntimeEndpoint:
         else:
             yield self._seal(group), len(group)
 
-    def _bundle(self, datagrams: List[bytes]) -> Iterator[bytes]:
-        """Yield wire datagrams: singletons as-is, runs as containers."""
-        if len(datagrams) == 1:
-            yield datagrams[0]
-            return
-        group: List[bytes] = []
-        size = _BATCH_HEADER
-        mtu = self.flush_mtu
-        for datagram in datagrams:
-            needed = len(datagram) + _SUB_OVERHEAD
-            if group and size + needed > mtu:
-                yield self._seal(group)
-                group = []
-                size = _BATCH_HEADER
-            group.append(datagram)
-            size += needed
-        if len(group) == 1:
-            yield group[0]
-        else:
-            yield self._seal(group)
-
     def _seal(self, group: List[bytes]) -> bytes:
         self.counters.inc("batches_sent")
         self.counters.inc("batched_frames", len(group))
         return encode_batch(group)
-
-    def _defer(self, dst: Address, wire: bytes) -> None:
-        """Queue for the single drainer task (async-only transports)."""
-        self._backlog.append((dst, wire))
-        if self._drainer is None or self._drainer.done():
-            self._drainer = asyncio.get_running_loop().create_task(
-                self._drain_backlog()
-            )
-
-    async def _drain_backlog(self) -> None:
-        backlog = self._backlog
-        while backlog:
-            dst, wire = backlog[0]
-            try:
-                await self.transport.send(dst, wire)
-            except Exception:
-                self.counters.inc("send_errors")
-            backlog.popleft()
 
     # -- wire accounting ------------------------------------------------------
     # The scalar tallies live in the endpoint's Counters registry; the
@@ -493,7 +435,7 @@ class RuntimeEndpoint:
     @property
     def pending_posts(self) -> int:
         """Frames accepted for transmission but not yet on the wire."""
-        return sum(len(q) for q in self._out.values()) + len(self._backlog)
+        return sum(len(q) for q in self._out.values())
 
     @property
     def data_frames_sent(self) -> int:
@@ -524,20 +466,10 @@ class RuntimeEndpoint:
         )
 
     async def close(self) -> None:
-        """Flush queued frames, settle the drainer, release the transport."""
+        """Flush queued frames, then release the transport."""
         # Push anything still queued: losing it here would turn every
         # endpoint close into artificial packet loss.
         self._flush()
-        drainer = self._drainer
-        if drainer is not None and not drainer.done():
-            # Let the fallback drainer finish (its frames are already
-            # encoded), but never hang on a stuck transport.
-            _done, not_done = await asyncio.wait({drainer}, timeout=1.0)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.gather(*not_done, return_exceptions=True)
-        self._backlog.clear()
         await self.transport.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

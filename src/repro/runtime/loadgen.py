@@ -262,6 +262,26 @@ def load_violations(record: Mapping[str, Any]) -> List[str]:
     return problems
 
 
+#: Fabric throughput before the hot-path overhaul, measured on the
+#: reference machine at the runtime bench's ``FABRIC_LOAD`` workload.
+PRE_OVERHAUL_MSGS_PER_S = {"cm5/p2": 945.8, "cm5/p32": 1126.0}
+#: The overhaul's gate: the cm5/p2 cell runs at least this many times
+#: its pre-overhaul throughput (p32 is latency-floor-bound: recorded).
+MIN_SPEEDUP_VS_PRE_OVERHAUL = 5.0
+
+
+def speedup_violations(record: Mapping[str, Any]) -> List[str]:
+    """The overhaul gate on a fabric record's ``speedup_vs_pre_overhaul``
+    (see :data:`MIN_SPEEDUP_VS_PRE_OVERHAUL`); other cells pass."""
+    cell = f"{record.get('mode')}/p{record.get('peers')}"
+    speedup = record.get("speedup_vs_pre_overhaul")
+    if (cell != "cm5/p2" or speedup is None
+            or speedup >= MIN_SPEEDUP_VS_PRE_OVERHAUL):
+        return []
+    return [f"fabric {cell}: {speedup:.1f}x over the pre-overhaul "
+            f"baseline, gate is {MIN_SPEEDUP_VS_PRE_OVERHAUL}x"]
+
+
 def fabric_collapse_violations(
         records: Iterable[Mapping[str, Any]]) -> List[str]:
     """Figure 6 under fan-out: at every peer count measured in both

@@ -168,8 +168,8 @@ class SinglePacketSender:
             raise ProtocolFailure(str(exc)) from exc
         return seq
 
-    async def _resend(self, key, data: bytes) -> None:
-        await self.endpoint.transport.send(self.dst, data)
+    def _resend(self, key, data: bytes) -> None:
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         future = self._pending.pop(key, None)
@@ -644,7 +644,7 @@ class BulkSender:
             cursor += take
         return packets
 
-    async def _resend(self, key, data: bytes) -> None:
+    def _resend(self, key, data: bytes) -> None:
         if isinstance(key, tuple) and key[0] == "data":
             state = self._inflight.get(key[1])
             if state is not None:
@@ -654,7 +654,7 @@ class BulkSender:
                 state.worst_resends = max(state.worst_resends, count)
             self.counters.inc("retransmitted_data_packets")
             self.counters.inc("retransmitted_data_bytes", len(data))
-        await self.endpoint.transport.send(self.dst, data)
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _release_transfer(self, xfer: int) -> None:
         for key in self.retransmitter.tracked_keys():
@@ -945,8 +945,8 @@ class OrderedChannelSender:
                 self._drain_waiters.remove(future)
         self._raise_if_failed()
 
-    async def _resend(self, key, data: bytes) -> None:
-        await self.endpoint.transport.send(self.dst, data)
+    def _resend(self, key, data: bytes) -> None:
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         if self._closed or self._failure is not None:
@@ -1176,7 +1176,7 @@ class OrderedChannelReceiver:
         self._last_granted = flow.window_bytes if flow is not None else 0
         self.ack_every = ack_every
         self.ack_delay = ack_delay
-        self.delivered: List[Tuple[int, Tuple[int, ...]]] = []
+        self.delivered_count = 0  # payloads go to `deliver`, not kept
         self.counters = endpoint.counters.scoped("stream_rx")
         self._unacked = 0
         self._parked: Set[int] = set()
@@ -1211,13 +1211,6 @@ class OrderedChannelReceiver:
     @property
     def ooo_arrivals(self) -> int:
         return self.reorder.ooo_accepted
-
-    @property
-    def delivered_count(self) -> int:
-        return len(self.delivered)
-
-    def delivered_words(self) -> List[int]:
-        return [w for _seq, payload in self.delivered for w in payload]
 
     def _on_frame(self, frame: Frame, src: Address) -> None:
         if frame.kind is FrameKind.EPOCH_REQ:
@@ -1325,7 +1318,7 @@ class OrderedChannelReceiver:
                         EventType.EPOCH, endpoint=self.endpoint.name,
                         channel=self.channel, seq=proposed, aux=base,
                         kind="EPOCH_ADOPT", feature=Feature.FAULT_TOLERANCE)
-            if self.reorder.expected < base and not self.delivered:
+            if self.reorder.expected < base and not self.delivered_count:
                 # A receiver with no delivery history joining a stream
                 # already under way: accept the sender's base rather than
                 # waiting forever for sequence numbers that predate us.
@@ -1452,8 +1445,7 @@ class OrderedChannelReceiver:
             # its bytes stop counting against the credit window.
             with self.endpoint.attribution.span(Feature.FLOW_CONTROL):
                 self.flow.on_deliver(len(payload) * 4)
-        with self.endpoint.attribution.span(Feature.BASE):
-            self.delivered.append((seq, tuple(payload)))
+        self.delivered_count += 1
         tracer = self.endpoint.tracer
         if tracer.enabled:
             tracer.emit(EventType.DELIVER, endpoint=self.endpoint.name,
@@ -1473,7 +1465,7 @@ class OrderedChannelReceiver:
         return future
 
     def _notify(self) -> None:
-        done = len(self.delivered)
+        done = self.delivered_count
         for count, future in list(self._waiters):
             if done >= count and not future.done():
                 future.set_result(done)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.spans import TimeAttribution
@@ -151,7 +151,7 @@ class _Tracked:
 
 
 class Retransmitter:
-    """Per-key retransmission timers over an async resend function.
+    """Per-key retransmission timers over a synchronous resend function.
 
     One asyncio task (the timer wheel) serves every tracked key; it
     exits when the tracked set drains and is recreated lazily by the
@@ -160,7 +160,7 @@ class Retransmitter:
 
     def __init__(
         self,
-        resend: Callable[[Hashable, bytes], Awaitable[None]],
+        resend: Callable[[Hashable, bytes], None],
         policy: Optional[BackoffPolicy] = None,
         attribution: Optional[TimeAttribution] = None,
         on_give_up: Optional[Callable[[Hashable, RetransmitExhausted], None]] = None,
@@ -343,9 +343,9 @@ class Retransmitter:
                 except asyncio.TimeoutError:
                     pass
                 continue  # re-evaluate: entries may have changed under us
-            await self._fire(now)
+            self._fire(now)
 
-    async def _fire(self, now: float) -> None:
+    def _fire(self, now: float) -> None:
         loop = asyncio.get_running_loop()
         expired = [key for key, e in self._entries.items() if e.deadline <= now]
         tracer = self.tracer
@@ -357,7 +357,7 @@ class Retransmitter:
         for key in expired:
             entry = self._entries.get(key)
             if entry is None:
-                continue  # acked while an earlier resend awaited
+                continue  # released by an earlier key's give-up callback
             if entry.attempt >= self.policy.max_retries:
                 # The final retry already had its full ack window
                 # (one more interval after the last resend) — give up.
@@ -390,9 +390,7 @@ class Retransmitter:
                                 attempt=entry.attempt, kind=kind,
                                 feature=Feature.FAULT_TOLERANCE)
                 try:
-                    await self._resend(key, entry.data)
-                except asyncio.CancelledError:
-                    raise
+                    self._resend(key, entry.data)
                 except Exception as exc:
                     # A raised resend (send on a closed transport, a
                     # departed peer) must not kill the shared timer
@@ -410,9 +408,9 @@ class Retransmitter:
                     else:
                         self.failures[key] = error
                     continue
-                # Re-arm off a *fresh* clock reading: the resend just
-                # awaited, and a deadline measured from the stale `now`
-                # would be partially (or wholly) elapsed already —
-                # yielding premature retransmits that pollute the
-                # backoff schedule.
+                # Re-arm off a *fresh* clock reading: this firing's
+                # resends took time, and a deadline measured from the
+                # stale `now` would be partially (or wholly) elapsed
+                # already — yielding premature retransmits that pollute
+                # the backoff schedule.
                 entry.deadline = loop.time() + self._interval(entry.attempt)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.timeshare import TimeBreakdown
+from repro.analysis.tracereport import crosscheck_features
 from repro.arch.attribution import Feature
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.protocols import (
@@ -282,8 +283,10 @@ async def run_ordered_live(
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """Stream the message through the indefinite-sequence ordered channel."""
+    delivered: List[int] = []
     receiver = OrderedChannelReceiver(
-        pair.dst, window=max(256, 2 * window)
+        pair.dst, window=max(256, 2 * window),
+        deliver=lambda _seq, payload: delivered.extend(payload),
     )
     sender = OrderedChannelSender(
         pair.src, pair.dst.local_address, window=window,
@@ -311,7 +314,6 @@ async def run_ordered_live(
         await sender.close()
         receiver.close()
     wall_ns = time.perf_counter_ns() - start
-    delivered = receiver.delivered_words()
     return _finish(
         pair, "indefinite-sequence", message_words, packet_words, packets,
         delivered == message, wall_ns,
@@ -408,6 +410,8 @@ TRACED_OVERHEAD_CEILING_PCT = 150.0
 #: and the worst stage-sum error allowed against end-to-end latency.
 MIN_JOURNEY_COVERAGE = 0.95
 MAX_STAGE_ERROR = 0.10
+#: Worst gap between a traced run's histogram and bucket feature totals.
+TRACE_CROSSCHECK_TOLERANCE = 0.10
 
 
 def acks_violations(label: str, acks_per_data: Optional[float]) -> List[str]:
@@ -453,11 +457,31 @@ def traced_overhead_violations(label: str,
     return []
 
 
-def journey_violations(label: str, row: Dict[str, Any]) -> List[str]:
-    """An ``obs/{mode}`` bench row: journeys reconstruct with enough
-    coverage, their stage sums match end-to-end latency, and journey-on
-    overhead stays under the sanity ceiling."""
+def trace_violations(label: str, row: Dict[str, Any]) -> List[str]:
+    """A ``runtime trace`` cell: the run completed, at least one packet
+    lifecycle (send -> recv -> deliver) rebuilt complete, and the
+    tracer's ``trace_feature_ns`` agree with the ``attribution_ns``
+    buckets (see :data:`TRACE_CROSSCHECK_TOLERANCE`)."""
     problems = []
+    if not row.get("completed"):
+        problems.append(f"{label}: run did not complete")
+    if row.get("complete_lifecycles", 0) < 1:
+        problems.append(f"{label}: no complete packet lifecycle")
+    for problem in crosscheck_features(row["trace_feature_ns"],
+                                       row["attribution_ns"],
+                                       TRACE_CROSSCHECK_TOLERANCE):
+        problems.append(f"{label}: attribution cross-check: {problem}")
+    return problems
+
+
+def journey_violations(label: str, row: Dict[str, Any]) -> List[str]:
+    """An ``obs/{mode}`` bench row or a ``runtime journey`` cell:
+    journeys reconstruct with enough coverage, their stage sums match
+    end-to-end latency, journey-on overhead (where measured) stays under
+    the sanity ceiling, and a row that records ``completed`` completed."""
+    problems = []
+    if row.get("completed") is False:
+        problems.append(f"{label}: run did not complete")
     coverage = row.get("journey_coverage")
     if coverage is None or coverage < MIN_JOURNEY_COVERAGE:
         problems.append(f"{label}: journey coverage {coverage} fell below "

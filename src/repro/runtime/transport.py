@@ -16,6 +16,9 @@ Two implementations of one small :class:`Transport` contract:
   so it advertises none and the full CM-5 protocol machinery runs on
   top of it.
 
+Sending is synchronous: :meth:`Transport.send_now` puts one datagram on
+the wire and returns, so the endpoint's flush and every retransmit
+reach the wire by one plain call, with no task or await in between.
 Transports push received datagrams to a receiver callback; they never
 parse frames — that is the endpoint's job (and its cost is charged to
 the base-feature bucket, like the NI access instructions in the paper).
@@ -109,19 +112,14 @@ class Transport:
         if self._receiver is not None:
             self._receiver(data, src)
 
-    async def send(self, dst: Address, data: bytes) -> None:
-        raise NotImplementedError
+    def send_now(self, dst: Address, data: bytes) -> None:
+        """Put one datagram on the wire, synchronously.
 
-    def send_now(self, dst: Address, data: bytes) -> bool:
-        """Synchronous send fast path, if the transport has one.
-
-        Returns True when the datagram was put on the wire without
-        awaiting.  The default (False) makes callers fall back to the
-        coroutine :meth:`send`; both in-process transports override
-        this, so the endpoint's batching flush loop never needs an
-        asyncio task per datagram.
+        The runtime's only send path: the endpoint's flush loop and
+        every retransmit call it directly, so no send ever needs an
+        asyncio task.  A raise means the datagram was not sent.
         """
-        return False
+        raise NotImplementedError
 
     async def close(self) -> None:
         """Release resources; further sends are undefined."""
@@ -400,14 +398,10 @@ class LoopbackTransport(Transport):
     def local_address(self) -> Address:
         return self._address
 
-    async def send(self, dst: Address, data: bytes) -> None:
-        self.send_now(dst, data)
-
-    def send_now(self, dst: Address, data: bytes) -> bool:
+    def send_now(self, dst: Address, data: bytes) -> None:
         self.datagrams_sent += 1
         self.bytes_sent += len(data)
         self.hub._transmit(self._address, dst, data)
-        return True
 
     async def close(self) -> None:
         self.hub.detach(self._address)
@@ -460,16 +454,12 @@ class UDPTransport(Transport):
             raise RuntimeError("transport is not bound")
         return self._transport.get_extra_info("sockname")[:2]
 
-    async def send(self, dst: Address, data: bytes) -> None:
-        self.send_now(dst, data)
-
-    def send_now(self, dst: Address, data: bytes) -> bool:
+    def send_now(self, dst: Address, data: bytes) -> None:
         if self._transport is None:
             raise RuntimeError("transport is not bound")
         self.datagrams_sent += 1
         self.bytes_sent += len(data)
         self._transport.sendto(data, tuple(dst))
-        return True
 
     async def close(self) -> None:
         if self._transport is not None:

@@ -40,10 +40,10 @@ class TestInjector:
             b.set_receiver(lambda data, src: got.append(data))
             injector = ChaosInjector(hub)
             injector.partition_link("a", "b")
-            await a.send("b", b"lost")
+            a.send_now("b", b"lost")
             await asyncio.sleep(0.02)
             injector.heal_all()
-            await a.send("b", b"through")
+            a.send_now("b", b"through")
             await asyncio.sleep(0.02)
             return got, hub.partitioned
 
@@ -60,8 +60,8 @@ class TestInjector:
             b.set_receiver(lambda data, src: at_b.append(data))
             injector = ChaosInjector(hub)
             injector.block_link("a", "b")
-            await a.send("b", b"blocked")
-            await b.send("a", b"fine")
+            a.send_now("b", b"blocked")
+            b.send_now("a", b"fine")
             await asyncio.sleep(0.02)
             return at_a, at_b
 
@@ -82,7 +82,7 @@ class TestInjector:
             injector = ChaosInjector(hub)
             injector.isolate("b")
             for i in range(5):
-                await a.send("b", bytes([i]))
+                a.send_now("b", bytes([i]))
             await asyncio.sleep(0.02)
             held_mid_outage = injector.held_count
             injector.heal_node("b")
@@ -103,7 +103,7 @@ class TestInjector:
             injector = ChaosInjector(hub)
             injector.set_burst(drop=1.0, corrupt=1.0)
             for i in range(10):
-                await a.send("b", bytes([i]))
+                a.send_now("b", bytes([i]))
             await asyncio.sleep(0.02)
             return got
 
@@ -117,9 +117,9 @@ class TestInjector:
             b.set_receiver(lambda data, src: got.append(data))
             injector = ChaosInjector(hub)
             injector.set_burst(drop=1.0)
-            await a.send("b", b"gone")
+            a.send_now("b", b"gone")
             injector.set_burst()  # clear
-            await a.send("b", b"kept")
+            a.send_now("b", b"kept")
             await asyncio.sleep(0.02)
             return got, hub.dropped
 

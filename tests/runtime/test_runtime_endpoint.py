@@ -1,55 +1,53 @@
 """Tests for RuntimeEndpoint's batched send path and close.
 
-The fire-and-forget path used to create one asyncio task per posted
-frame (no strong reference, swallowed exceptions, and — the deeper
-hazard — no ordering guarantee between two tasks for the same channel).
-Frames now join a per-destination FIFO queue drained by one flush per
-event-loop tick; these tests pin the surface guarantees: errors surface
-to a counter, close never drops queued frames, and a stuck transport
-cannot hang close forever.
+Frames join a per-destination FIFO queue drained by one flush per
+event-loop tick, and the flush puts each datagram on the wire through
+the transport's synchronous ``send_now`` — the only send path.  These
+tests pin the surface guarantees on transport doubles that implement
+just that: errors surface to a counter, frames for one destination keep
+their post order, close never drops queued frames, and sending never
+creates an asyncio task.
 """
 
 import asyncio
 import gc
 
 from repro.runtime.endpoint import RuntimeEndpoint
-from repro.runtime.frames import data_frame
-from repro.runtime.transport import LoopbackHub
+from repro.runtime.frames import data_frame, decode_frame, is_batch, iter_batch
+from repro.runtime.tracing import EventType, Tracer
+from repro.runtime.transport import LoopbackHub, Transport
 
 
-class _ExplodingTransport:
-    """A transport whose send always raises, for surfacing-path tests."""
-
-    provides_in_order = False
-    provides_reliability = False
-    local_address = "boom"
-
-    def __init__(self):
-        self.receiver = None
-
-    def set_receiver(self, receiver):
-        self.receiver = receiver
-
-    async def send(self, dst, data):
-        raise OSError("wire on fire")
-
-    async def close(self):
-        pass
-
-
-class _StallingTransport(_ExplodingTransport):
-    """A transport whose send blocks until released."""
+class _WireTransport(Transport):
+    """A transport double that records what ``send_now`` puts on the wire."""
 
     def __init__(self):
         super().__init__()
-        self.release = None  # created lazily on the running loop
-        self.sends = 0
+        self.wire = []
 
-    async def send(self, dst, data):
-        if self.release is None:
-            self.release = asyncio.Event()
-        await self.release.wait()
-        self.sends += 1
+    @property
+    def local_address(self):
+        return "src"
+
+    def send_now(self, dst, data):
+        self.wire.append(bytes(data))
+
+    def seqs(self):
+        """Frame sequence numbers in wire order, containers unbundled."""
+        seqs = []
+        for datagram in self.wire:
+            if is_batch(datagram):
+                seqs.extend(decode_frame(s).seq for s in iter_batch(datagram))
+            else:
+                seqs.append(decode_frame(datagram).seq)
+        return seqs
+
+
+class _ExplodingTransport(_WireTransport):
+    """A transport whose send always raises, for surfacing-path tests."""
+
+    def send_now(self, dst, data):
+        raise OSError("wire on fire")
 
 
 class TestPostFrame:
@@ -58,29 +56,22 @@ class TestPostFrame:
         old per-frame tasks were only weakly referenced by asyncio)."""
 
         async def body():
-            transport = _StallingTransport()
+            transport = _WireTransport()
             ep = RuntimeEndpoint(transport, name="src")
-            frame = data_frame(channel=1, seq=0, payload=[1, 2])
-            for _ in range(4):
-                ep.post_frame("dst", frame)
-            pending_queued = ep.pending_posts
-            await asyncio.sleep(0)       # flush runs, drainer spawns
-            await asyncio.sleep(0)       # drainer reaches its stall
-            gc.collect()                 # must not reap the drainer
-            pending_during = ep.pending_posts
-            transport.release.set()
-            for _ in range(100):
-                if ep.pending_posts == 0:
-                    break
-                await asyncio.sleep(0.002)
-            return pending_queued, pending_during, ep.pending_posts, transport.sends
+            for seq in range(4):
+                ep.post_frame("dst", data_frame(channel=1, seq=seq,
+                                                payload=[seq]))
+            queued = ep.pending_posts
+            gc.collect()
+            await asyncio.sleep(0)       # the flush tick
+            return queued, ep.pending_posts, len(transport.wire), \
+                transport.seqs()
 
-        queued, during, after, sends = drive(body())
+        queued, after, datagrams, seqs = drive(body())
         assert queued == 4
-        assert during >= 1   # still accounted while the transport stalls
         assert after == 0
-        # An async-only transport gets the queued run as one container.
-        assert sends == 1
+        assert datagrams == 1            # the queued run as one container
+        assert seqs == [0, 1, 2, 3]
 
     def test_posted_send_errors_surface_to_the_counter(self, drive):
         """Regression: a raised posted send was a swallowed task
@@ -95,10 +86,7 @@ class TestPostFrame:
             ep = RuntimeEndpoint(_ExplodingTransport(), name="src")
             frame = data_frame(channel=1, seq=0, payload=[1])
             ep.post_frame("dst", frame)
-            for _ in range(100):
-                if ep.send_errors:
-                    break
-                await asyncio.sleep(0.002)
+            await asyncio.sleep(0)       # the flush tick
             await asyncio.sleep(0.01)    # let stray exceptions surface
             return ep.send_errors, ep.pending_posts, unhandled
 
@@ -107,79 +95,86 @@ class TestPostFrame:
         assert pending == 0
         assert unhandled == []
 
+    def test_traced_flush_counts_send_errors_and_emits_no_flush(self, drive):
+        async def body():
+            tracer = Tracer()
+            ep = RuntimeEndpoint(_ExplodingTransport(), name="src",
+                                 tracer=tracer)
+            for seq in range(3):
+                ep.post_frame("dst", data_frame(channel=1, seq=seq,
+                                                payload=[seq]))
+            await asyncio.sleep(0)
+            flushes = [e for e in tracer.events()
+                       if e.etype is EventType.FLUSH]
+            return ep.send_errors, ep.pending_posts, flushes
+
+        errors, pending, flushes = drive(body())
+        assert errors == 1               # one container, one failed send
+        assert pending == 0
+        assert flushes == []
+
     def test_close_waits_for_inflight_posts(self, drive):
-        """close() must not turn pending posted sends into packet loss."""
+        """close() must not turn queued posted frames into packet loss."""
 
         async def body():
             hub = LoopbackHub.cr()
             a, b = hub.attach("a"), hub.attach("b")
             ep = RuntimeEndpoint(a, name="src")
+            rx = RuntimeEndpoint(b, name="dst")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
-            frame = data_frame(channel=1, seq=0, payload=[7])
-            ep.post_frame("b", frame)
-            await ep.close()
+            rx.bind(1, lambda frame, src: got.append(frame.seq))
+            for seq in range(5):
+                ep.post_frame("b", data_frame(channel=1, seq=seq,
+                                              payload=[seq]))
+            await ep.close()             # no flush tick ran before close
             await asyncio.sleep(0.01)
-            return len(got), ep.pending_posts
+            return got, ep.pending_posts
 
-        delivered, pending = drive(body())
-        assert delivered == 1
+        got, pending = drive(body())
+        assert got == [0, 1, 2, 3, 4]
         assert pending == 0
 
-    def test_close_cancels_a_send_stuck_past_the_grace_period(self, drive):
-        async def body():
-            transport = _StallingTransport()
-            ep = RuntimeEndpoint(transport, name="src")
-            frame = data_frame(channel=1, seq=0, payload=[1])
-            ep.post_frame("dst", frame)
-            await asyncio.sleep(0)       # flush; the drainer will stall
-            # Nobody releases it: close's bounded wait must cancel.
-            await asyncio.wait_for(ep.close(), 5.0)
-            return ep.pending_posts, transport.sends
-
-        assert drive(body()) == (0, 0)
-
     def test_same_destination_frames_stay_in_post_order(self, drive):
-        """Regression (the ordering hazard): with one task per posted
-        frame, an async transport could interleave two sends for the
-        same channel and put them on the wire out of order.  The FIFO
-        queue + single drainer makes that impossible by construction."""
-
-        class _YieldingTransport(_ExplodingTransport):
-            """First send parks longer than the second: a task-per-frame
-            sender emits seq 1 before seq 0."""
-
-            def __init__(self):
-                super().__init__()
-                self.wire = []
-                self._sends = 0
-
-            async def send(self, dst, data):
-                self._sends += 1
-                if self._sends == 1:
-                    await asyncio.sleep(0.02)
-                self.wire.append(bytes(data))
-
-        from repro.runtime.frames import decode_frame, is_batch, iter_batch
+        """Frames for one destination reach the wire in the order they
+        were posted, across flush ticks, and a burst posted within one
+        tick goes out as a single container."""
 
         async def body():
-            transport = _YieldingTransport()
+            transport = _WireTransport()
             ep = RuntimeEndpoint(transport, name="src")
-            first = data_frame(channel=1, seq=0, payload=[1])
-            ep.post_frame("dst", first)
-            await asyncio.sleep(0)        # flush tick: first goes alone
-            second = data_frame(channel=1, seq=1, payload=[2])
-            ep.post_frame("dst", second)
-            await asyncio.sleep(0.1)
-            seqs = []
-            for datagram in transport.wire:
-                if is_batch(datagram):
-                    seqs.extend(decode_frame(s).seq for s in iter_batch(datagram))
-                else:
-                    seqs.append(decode_frame(datagram).seq)
-            return seqs
+            ep.post_frame("dst", data_frame(channel=1, seq=0, payload=[0]))
+            await asyncio.sleep(0)        # flush tick: seq 0 goes alone
+            for seq in range(1, 6):
+                ep.post_frame("dst", data_frame(channel=1, seq=seq,
+                                                payload=[seq]))
+            await asyncio.sleep(0)        # flush tick: the burst
+            return ([is_batch(d) for d in transport.wire], transport.seqs(),
+                    ep.batches_sent, ep.batched_frames)
 
-        assert drive(body()) == [0, 1]
+        shapes, seqs, batches, batched = drive(body())
+        assert shapes == [False, True]
+        assert seqs == [0, 1, 2, 3, 4, 5]
+        assert (batches, batched) == (1, 5)
+
+    def test_posting_and_flushing_create_no_task(self, drive):
+        async def body():
+            transport = _WireTransport()
+            ep = RuntimeEndpoint(transport, name="src")
+            before = asyncio.all_tasks()
+            for seq in range(8):
+                for dst in ("b", "c"):
+                    ep.post_frame(dst, data_frame(channel=1, seq=seq,
+                                                  payload=[seq]))
+                await ep.send_frame("b", data_frame(channel=2, seq=seq,
+                                                    payload=[seq]))
+            during = asyncio.all_tasks()
+            await asyncio.sleep(0)        # the flush tick
+            return before, during, asyncio.all_tasks(), len(transport.wire)
+
+        before, during, after, datagrams = drive(body())
+        assert during == before
+        assert after == before
+        assert datagrams == 2             # one container per destination
 
 
 class TestBatching:

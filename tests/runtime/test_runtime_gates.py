@@ -37,11 +37,13 @@ from repro.runtime.loadgen import (
     load_violations,
     overload_retention_violations,
     overload_violations,
+    speedup_violations,
 )
 from repro.runtime.membership import (
     member_flatness_violations,
     member_violations,
 )
+from repro.runtime.runner import journey_violations, trace_violations
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 COMMITTED = json.loads((BENCH_DIR / "BENCH_runtime.json").read_text())
@@ -174,6 +176,19 @@ def test_each_gate_reports_its_row(checker, name):
     problems = checker.check(COMMITTED, perturbed(name))
     assert len(problems) == 1, problems
     assert (key or section) in problems[0], problems
+
+
+def test_speedup_gate_reads_the_committed_baseline(checker):
+    """The overhaul's 5x gate: the bench applies it to the fresh cm5/p2
+    row, the checker to the committed baseline's, through one predicate."""
+    payload = copy.deepcopy(COMMITTED)
+    row = payload["fabric"]["cm5/p2"]
+    assert speedup_violations(row) == []
+    row["speedup_vs_pre_overhaul"] = 4.3        # below the 5x gate
+    problems = checker.check(payload, payload)
+    assert len(problems) == 1, problems
+    assert "cm5/p2" in problems[0] and "5.0x" in problems[0], problems
+    assert problems[0].endswith(speedup_violations(row)[0])
 
 
 # -- the CLI commands gate through the same predicates ---------------------
@@ -330,10 +345,41 @@ def case_profile(monkeypatch, broken):
         report.to_dict())
 
 
+def _spy_rows(monkeypatch, name, predicate):
+    """Record every (label, row) the CLI hands ``predicate``; the
+    expected problems are the predicate re-run over those rows."""
+    rows = []
+
+    def spy(label, row):
+        rows.append((label, copy.deepcopy(row)))
+        return predicate(label, row)
+
+    monkeypatch.setattr(demo, name, spy)
+    return lambda: [p for label, row in rows for p in predicate(label, row)]
+
+
+#: A small traced run; broken, the tracer's ring holds one event, so no
+#: packet lifecycle or message journey can be rebuilt from it.
+_TRACED = ["--packets", "2", "--packet-words", "4", "--drop-rate", "0"]
+
+
+def case_trace(monkeypatch, broken):
+    expected = _spy_rows(monkeypatch, "trace_violations", trace_violations)
+    return (["trace", *_TRACED]
+            + (["--trace-capacity", "1"] if broken else [])), expected
+
+
+def case_journey(monkeypatch, broken):
+    expected = _spy_rows(monkeypatch, "journey_violations",
+                         journey_violations)
+    return (["journey", *_TRACED]
+            + (["--trace-capacity", "1"] if broken else [])), expected
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
 @pytest.mark.parametrize("case", [
     case_demo, case_load, case_overload, case_chaos, case_member,
-    case_collect, case_profile,
+    case_collect, case_profile, case_trace, case_journey,
 ], ids=lambda case: case.__name__[len("case_"):])
 def test_cli_exit_code_agrees_with_predicates(monkeypatch, capsys, case,
                                               broken):

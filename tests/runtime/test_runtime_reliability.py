@@ -7,6 +7,7 @@ single-task-per-endpoint structure of the wheel.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.runtime.reliability import (
 
 
 def make_retransmitter(resends, policy, **kwargs):
-    async def resend(key, data):
+    def resend(key, data):
         resends.append((key, data))
 
     return Retransmitter(resend, policy=policy, **kwargs)
@@ -224,7 +225,7 @@ class TestResendFailure:
         async def body():
             resends = []
 
-            async def resend(key, data):
+            def resend(key, data):
                 if key == "doomed":
                     raise OSError("transport closed under us")
                 resends.append(key)
@@ -252,7 +253,7 @@ class TestResendFailure:
 
     def test_raising_resend_routes_through_on_give_up(self, drive):
         async def body():
-            async def resend(key, data):
+            def resend(key, data):
                 raise OSError("no route")
 
             seen = []
@@ -275,15 +276,15 @@ class TestResendFailure:
 class TestRearmClock:
     def test_rearm_reads_a_fresh_clock_after_the_resend_await(self, drive):
         """Regression: ``_fire`` re-armed deadlines from the ``now``
-        captured *before* awaiting the resends, so a resend slower than
-        the backoff interval left the new deadline already in the past —
-        an immediate premature retransmit."""
+        captured *before* the resends ran, so a resend slower than the
+        backoff interval left the new deadline already in the past — an
+        immediate premature retransmit."""
 
         async def body():
-            async def resend(key, data):
+            def resend(key, data):
                 # Slower than the 20 ms interval: the loop clock ages
-                # past now+interval while the resend is in flight.
-                await asyncio.sleep(0.03)
+                # past now+interval while the resend blocks.
+                time.sleep(0.03)
 
             policy = BackoffPolicy(initial=0.02, factor=1.0,
                                    ceiling=10.0, max_retries=50)
@@ -292,7 +293,7 @@ class TestRearmClock:
             now = loop.time()
             rt._entries["k"] = _Tracked(data=b"x", deadline=now,
                                         first_sent=now)
-            await rt._fire(now)
+            rt._fire(now)
             entry = rt._entries["k"]
             fresh = loop.time()
             await rt.cancel_all()
@@ -389,7 +390,7 @@ class TestRttEstimator:
             await rt.cancel_all()
             return elapsed
 
-        async def _record(resends, key):
+        def _record(resends, key):
             resends.append(key)
 
         # First resend fires on the adaptive RTO (~10-50 ms), far below

@@ -29,7 +29,7 @@ class TestLoopbackClean:
             hub = LoopbackHub()
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"hello")
+            a.send_now("b", b"hello")
             await settle()
             return received
 
@@ -39,7 +39,7 @@ class TestLoopbackClean:
         async def body():
             hub = LoopbackHub()
             a = hub.attach("a")
-            await a.send("nowhere", b"x")
+            a.send_now("nowhere", b"x")
             await settle()
             return hub.blackholed, hub.dropped
 
@@ -58,7 +58,7 @@ class TestLoopbackClean:
             hub = LoopbackHub()
             a, b = hub.attach("a"), hub.attach("b")
             await b.close()
-            await a.send("b", b"x")
+            a.send_now("b", b"x")
             await settle()
             return hub.blackholed, hub.dropped
 
@@ -72,7 +72,7 @@ class TestFaultInjection:
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
             for i in range(100):
-                await a.send("b", bytes([i]))
+                a.send_now("b", bytes([i]))
             await settle()
             return len(received), hub.dropped
 
@@ -88,7 +88,7 @@ class TestFaultInjection:
             hub = LoopbackHub.cm5(dup_rate=1.0, reorder_rate=0.0)
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"x")
+            a.send_now("b", b"x")
             await settle()
             return len(received), hub.duplicated
 
@@ -100,9 +100,9 @@ class TestFaultInjection:
             hub = LoopbackHub.cm5(reorder_rate=1.0, reorder_delay=0.005)
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"first")
+            a.send_now("b", b"first")
             hub.faults.reorder_rate = 0.0
-            await a.send("b", b"second")
+            a.send_now("b", b"second")
             await settle(0.05)
             return [data for data, _src in received]
 
@@ -122,7 +122,7 @@ class TestFaultInjection:
             hub = LoopbackHub.cm5(corrupt_rate=1.0, reorder_rate=0.0)
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"pristine")
+            a.send_now("b", b"pristine")
             await settle()
             return received, hub.corrupted
 
@@ -156,7 +156,7 @@ class TestFaultInjection:
             hub = LoopbackHub.cm5(latency=0.01, reorder_rate=0.0)
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"late")   # in flight for 10 ms
+            a.send_now("b", b"late")   # in flight for 10 ms
             await b.close()              # detach before it lands
             await settle(0.05)
             return received, hub.delivered, hub.expired
@@ -173,7 +173,7 @@ class TestFaultInjection:
         async def body():
             hub = LoopbackHub.cm5(latency=0.01, reorder_rate=0.0)
             a, b = hub.attach("a"), hub.attach("b")
-            await a.send("b", b"for the old b")
+            a.send_now("b", b"for the old b")
             await b.close()
             b2 = hub.attach("b")         # same address, new transport
             received = collect(b2)
@@ -204,7 +204,7 @@ class TestCRMode:
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
             for i in range(50):
-                await a.send("b", bytes([i]))
+                a.send_now("b", bytes([i]))
             await settle()
             return [data[0] for data, _src in received], hub.dropped
 
@@ -217,7 +217,7 @@ class TestCRMode:
             hub = LoopbackHub.cr()
             a, b = hub.attach("a"), hub.attach("b")
             await b.close()
-            await a.send("b", b"x")  # blackholed, not a fault
+            a.send_now("b", b"x")  # blackholed, not a fault
             await settle()
             return hub.wire_counters()
 
@@ -235,7 +235,7 @@ class TestCRMode:
             a, b = hub.attach("a"), hub.attach("b")
             collect(b)
             for i in range(60):
-                await a.send("b", bytes([i]))
+                a.send_now("b", bytes([i]))
             await settle()
             return hub.wire_counters(), (
                 hub.delivered, hub.dropped, hub.duplicated,
@@ -265,7 +265,7 @@ class TestInjectReplay:
             hub = LoopbackHub.cm5(drop_rate=1.0, reorder_rate=0.0)
             a, b = hub.attach("a"), hub.attach("b")
             received = collect(b)
-            await a.send("b", b"eaten")       # static profile drops it
+            a.send_now("b", b"eaten")       # static profile drops it
             assert hub.inject("b", b"replayed", "a")
             await settle()
             return received, hub.dropped
@@ -303,7 +303,7 @@ class TestUDPLifecycle:
             dst = transport.local_address
             await transport.close()
             with pytest.raises(RuntimeError):
-                await transport.send(dst, b"too late")
+                transport.send_now(dst, b"too late")
             with pytest.raises(RuntimeError):
                 transport.local_address
             return True
@@ -327,13 +327,13 @@ class TestUDPLifecycle:
             a = await bind_or_skip()
             b = await bind_or_skip()
             received = collect(b)
-            await a.send(b.local_address, b"one")
+            a.send_now(b.local_address, b"one")
             for _ in range(100):
                 if received:
                     break
                 await asyncio.sleep(0.01)
             b.set_receiver(None)  # detach while the peer keeps sending
-            await a.send(b.local_address, b"two")
+            a.send_now(b.local_address, b"two")
             await asyncio.sleep(0.05)
             counts = (len(received), b.datagrams_received)
             await a.close()
@@ -359,7 +359,7 @@ class TestUDPLifecycle:
                 pytest.skip("cannot rebind the port (environment policy)")
             received = collect(b2)
             for _ in range(100):
-                await a.send((host, port), b"hello again")
+                a.send_now((host, port), b"hello again")
                 if received:
                     break
                 await asyncio.sleep(0.01)
@@ -378,7 +378,7 @@ class TestUDP:
             a = await UDPTransport.bind()
             b = await UDPTransport.bind()
             received = collect(b)
-            await a.send(b.local_address, b"over the wire")
+            a.send_now(b.local_address, b"over the wire")
             for _ in range(100):
                 if received:
                     break
