@@ -17,6 +17,7 @@ the node's STREAM_DATA/STREAM_ACK bindings.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.api.endpoint import Endpoint
@@ -28,11 +29,15 @@ from repro.protocols.windowed import WindowedStreamReceiver, WindowedStreamSende
 
 
 class ChannelReceiveBuffer:
-    """Accumulates in-order payloads on the receiving side."""
+    """Accumulates in-order payloads on the receiving side.
+
+    Each delivered payload is held once, as its record; ``read()``
+    joins the records and ``len()`` is a running word count.
+    """
 
     def __init__(self) -> None:
-        self._words: List[int] = []
         self.records: List[Tuple[int, ...]] = []
+        self._word_count = 0
         self._callback: Optional[Callable[[Tuple[int, ...]], None]] = None
 
     def on_record(self, callback: Callable[[Tuple[int, ...]], None]) -> None:
@@ -40,16 +45,16 @@ class ChannelReceiveBuffer:
 
     def _deliver(self, _seq: int, payload: Tuple[int, ...]) -> None:
         self.records.append(payload)
-        self._words.extend(payload)
+        self._word_count += len(payload)
         if self._callback is not None:
             self._callback(payload)
 
     def read(self) -> List[int]:
         """All words received so far, in transmission order."""
-        return list(self._words)
+        return list(itertools.chain.from_iterable(self.records))
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._word_count
 
 
 class Channel:

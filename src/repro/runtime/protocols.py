@@ -198,7 +198,7 @@ class SinglePacketReceiver:
         self.endpoint = endpoint
         self.channel = channel
         self.on_message = on_message
-        self.messages: List[List[int]] = []
+        self.delivered_count = 0  # messages go to `on_message`, not kept
         self.counters = endpoint.counters.scoped("single_rx")
         self._delivered_seqs: set = set()
         self._waiters: List[Tuple[int, asyncio.Future]] = []
@@ -231,9 +231,10 @@ class SinglePacketReceiver:
                 return
         with attr.span(Feature.BUFFER_MGMT):
             # Receive-queue slot management (the datagram's landing buffer).
-            self.messages.append([])
+            message: List[int] = []
         with attr.span(Feature.BASE):
-            self.messages[-1].extend(frame.payload)
+            message.extend(frame.payload)
+        self.delivered_count += 1
         tracer = self.endpoint.tracer
         if tracer.enabled:
             tracer.emit(EventType.DELIVER, endpoint=self.endpoint.name,
@@ -241,7 +242,7 @@ class SinglePacketReceiver:
                         feature=Feature.BASE)
         if self.on_message is not None:
             with attr.span(Feature.USER):
-                self.on_message(self.messages[-1])
+                self.on_message(message)
         self._notify()
 
     # -- completion futures ---------------------------------------------------
@@ -254,7 +255,7 @@ class SinglePacketReceiver:
         return future
 
     def _notify(self) -> None:
-        done = len(self.messages)
+        done = self.delivered_count
         for count, future in list(self._waiters):
             if done >= count and not future.done():
                 future.set_result(done)

@@ -182,7 +182,8 @@ async def run_single_packet_live(
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """Send the message as independent single-packet datagrams."""
-    receiver = SinglePacketReceiver(pair.dst)
+    delivered: List[int] = []
+    receiver = SinglePacketReceiver(pair.dst, on_message=delivered.extend)
     sender = SinglePacketSender(
         pair.src, pair.dst.local_address,
         backoff=backoff or LOOPBACK_BACKOFF,
@@ -209,7 +210,6 @@ async def run_single_packet_live(
     finally:
         await sender.close()
     wall_ns = time.perf_counter_ns() - start
-    delivered = [w for m in receiver.messages for w in m]
     return _finish(
         pair, "single-packet", message_words, packet_words, packets,
         completed, wall_ns,

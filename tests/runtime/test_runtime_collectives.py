@@ -4,15 +4,20 @@ Covers the protocol-switch boundary exactly (at the threshold, one
 word either side), every collective op in both substrate modes with a
 clean exactly-once audit, rendezvous admission (immediate and
 deferred grants), membership safety (typed errors instead of hangs),
-and the broadcast-through-partition chaos scenario.
+the broadcast-through-partition chaos scenario, and the all-reduce
+root's columnwise fold against the pairwise reference it replaced.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.runtime import collectives
 from repro.runtime.collectives import (
     AUDIT_CID,
     CH_COLLECTIVE,
@@ -22,6 +27,7 @@ from repro.runtime.collectives import (
     CollectiveMembershipError,
     EAGER,
     RENDEZVOUS,
+    collective_op_violations,
     run_broadcast_partition,
 )
 from repro.runtime.fabric import Fabric
@@ -164,6 +170,9 @@ class TestCollectiveOps:
         assert result.completed
         assert result.result == [9, 12]
         assert all(v == [9, 12] for v in result.received.values())
+        # Every member's copy, and the result, is its own list.
+        vectors = [result.result, *result.received.values()]
+        assert len({id(v) for v in vectors}) == 4
 
     @pytest.mark.parametrize("op", ["sum", "max", "min"])
     def test_all_reduce_ops_on_words_near_the_wrap(self, drive, op):
@@ -259,6 +268,28 @@ class TestCollectiveOps:
 
         drive(scenario())
 
+    def test_all_reduce_row_catches_a_fold_that_moves_columns(
+            self, drive, monkeypatch):
+        """The smoke row's vectors differ per column, so its audit
+        fails a fold that rotates the reduced columns; with one value
+        in every column the rotated result would still compare equal."""
+        def all_reduce_row():
+            report = drive(collectives.measure_collective_ops(
+                mode="cr", peers=4, payload_words=96))
+            return next(row for row in report["rows"]
+                        if row["op"] == "all_reduce")
+
+        assert collective_op_violations(all_reduce_row()) == []
+        fold = collectives._fold
+
+        def rotated(op, own, contributions):
+            reduced = fold(op, own, contributions)
+            return reduced[1:] + reduced[:1]
+
+        monkeypatch.setattr(collectives, "_fold", rotated)
+        assert collective_op_violations(all_reduce_row()) == [
+            "coll/all_reduce/cr payload audit is dirty"]
+
     def test_audited_broadcast_is_exactly_once(self, drive):
         """Deterministic ledger stamps make a broadcast auditable per
         receiving peer: identical words, independent verdicts."""
@@ -286,6 +317,72 @@ class TestCollectiveOps:
         for report in reports.values():
             assert report.clean
             assert report.delivered == 4
+
+
+def pairwise_fold(op, own, contributions):
+    """The root's fold as it was: mask the root's words, then fold in
+    one contribution at a time, one reducer call per word."""
+    reducer = {"sum": lambda acc, x: (acc + x) & 0xFFFFFFFF,
+               "max": max, "min": min}[op]
+    reduced = [w & 0xFFFFFFFF for w in own]
+    for words in contributions:
+        reduced = [reducer(acc, w & 0xFFFFFFFF)
+                   for acc, w in zip(reduced, words)]
+    return reduced
+
+
+def wire_words(n):
+    """``n`` words the codec can deliver: each in [0, 2**32)."""
+    return st.binary(min_size=4 * n, max_size=4 * n).map(
+        lambda raw: list(struct.unpack(f"<{n}I", raw)))
+
+
+#: The root's own words never cross the wire, so some may be out of
+#: range: negative, or at and beyond 2**32.
+out_of_range = st.one_of(st.integers(min_value=-2**40, max_value=-1),
+                         st.integers(min_value=2**32, max_value=2**40))
+
+
+@st.composite
+def fold_inputs(draw):
+    """An op, the root's vector and 1-7 contributions, all of one
+    length or (ragged) each of its own, which the fold truncates."""
+    op = draw(st.sampled_from(["sum", "max", "min"]))
+    length = draw(st.integers(min_value=1, max_value=64))
+    ragged = draw(st.booleans())
+
+    def size():
+        return (draw(st.integers(min_value=1, max_value=64)) if ragged
+                else length)
+
+    own = draw(wire_words(size()))
+    for index in draw(st.lists(st.integers(min_value=0,
+                                           max_value=len(own) - 1),
+                               max_size=4)):
+        own[index] = draw(out_of_range)
+    contributors = draw(st.integers(min_value=1, max_value=7))
+    return op, own, [draw(wire_words(size())) for _ in range(contributors)]
+
+
+class TestFold:
+    """The root's columnwise fold against the pairwise reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=fold_inputs())
+    def test_fold_matches_the_pairwise_reference(self, inputs):
+        op, own, contributions = inputs
+        before = ([*own], [[*words] for words in contributions])
+        assert (collectives._fold(op, own, contributions)
+                == pairwise_fold(op, own, contributions))
+        assert (own, contributions) == before
+
+    @pytest.mark.parametrize("op, expected", [
+        ("sum", [0xFFFFFFFF, 0xFFFFFFFF, 3]),
+        ("max", [0xFFFFFFFF, 0xFFFFFFFF, 2]),
+        ("min", [0, 0, 1])])
+    def test_root_words_out_of_range_are_masked(self, op, expected):
+        own = [-1, 2**32, 2**33 + 1]
+        assert collectives._fold(op, own, [[0, 0xFFFFFFFF, 2]]) == expected
 
 
 class TestRendezvousAdmission:

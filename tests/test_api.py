@@ -87,6 +87,34 @@ class TestChannel:
         channel.close()
         assert seen == [(1, 2, 3, 4), (5, 6, 7, 8)]
 
+    def test_receive_buffer_holds_each_word_once(self):
+        """Regression: the buffer kept every delivered word twice, once
+        in its record and once more in a flat word list.  It now keeps
+        the records and a word count, so what it retains beyond the
+        records list is a constant."""
+        import sys
+        import tracemalloc
+
+        from repro.api import channel as channel_module
+
+        records = [tuple(range(r, r + 8)) for r in range(1000)]
+        buffer = channel_module.ChannelReceiveBuffer()
+        tracemalloc.start()
+        try:
+            for seq, record in enumerate(records):
+                buffer._deliver(seq, record)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert buffer.records == records
+        assert len(buffer) == 8000
+        assert buffer.read() == [w for record in records for w in record]
+        mine = snapshot.filter_traces(
+            [tracemalloc.Filter(True, channel_module.__file__)])
+        retained = sum(stat.size for stat in mine.statistics("filename"))
+        # A second word list would add ~8 B per word (~64 kB here).
+        assert retained <= sys.getsizeof(buffer.records) + 256, retained
+
     def test_cross_network_rejected(self):
         sim1, ea, _eb = cmam_endpoints()
         sim2, _ec, ed = cmam_endpoints()
