@@ -18,7 +18,7 @@ the node's STREAM_DATA/STREAM_ACK bindings.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.api.endpoint import Endpoint
 from repro.protocols.acks import AckPolicy
@@ -31,19 +31,21 @@ from repro.protocols.windowed import WindowedStreamReceiver, WindowedStreamSende
 class ChannelReceiveBuffer:
     """Accumulates in-order payloads on the receiving side.
 
-    Each delivered payload is held once, as its record; ``read()``
-    joins the records and ``len()`` is a running word count.
+    Each delivered payload is held once, as its record: a tuple from
+    the simulated stacks, the decoded ``array('I')`` from the live
+    runtime.  ``read()`` joins the records and ``len()`` is a running
+    word count.
     """
 
     def __init__(self) -> None:
-        self.records: List[Tuple[int, ...]] = []
+        self.records: List[Sequence[int]] = []
         self._word_count = 0
-        self._callback: Optional[Callable[[Tuple[int, ...]], None]] = None
+        self._callback: Optional[Callable[[Sequence[int]], None]] = None
 
-    def on_record(self, callback: Callable[[Tuple[int, ...]], None]) -> None:
+    def on_record(self, callback: Callable[[Sequence[int]], None]) -> None:
         self._callback = callback
 
-    def _deliver(self, _seq: int, payload: Tuple[int, ...]) -> None:
+    def _deliver(self, _seq: int, payload: Sequence[int]) -> None:
         self.records.append(payload)
         self._word_count += len(payload)
         if self._callback is not None:

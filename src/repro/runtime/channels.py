@@ -14,12 +14,13 @@ and reliability, or the full CM-5 protocol machinery when it does not.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, List, Optional, Sequence
 
 from repro.api.channel import ChannelReceiveBuffer
 from repro.api.framing import FrameAssembler, MAX_MESSAGE_WORDS
 from repro.protocols.base import packet_payload_sizes
-from repro.runtime.frames import MAX_PAYLOAD_WORDS, TRACE_CTX_WORDS
+from repro.runtime.frames import MAX_PAYLOAD_WORDS, TRACE_CTX_WORDS, word_array
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.flowcontrol import BackpressureSignal, FlowControlConfig
 from repro.runtime.protocols import (
@@ -47,8 +48,15 @@ class LiveChannel:
         self.words_sent = 0
 
     async def send(self, words: Sequence[int]) -> int:
-        """Send an arbitrary-length word sequence; returns packets used."""
-        words = list(words)
+        """Send an arbitrary-length word sequence; returns packets used.
+
+        Words are converted to one ``array('I')`` here, where they
+        enter; an ``array('I')`` is sliced as it is, so its owner must
+        leave it unchanged until the send returns.  A word outside 32
+        bits raises :class:`~repro.runtime.frames.FrameError`.
+        """
+        if type(words) is not array or words.typecode != "I":
+            words = word_array(words)
         sizes = packet_payload_sizes(len(words), self._effective_packet_words())
         cursor = 0
         for take in sizes:

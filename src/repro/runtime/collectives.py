@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import sys
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -60,9 +62,11 @@ from repro.runtime.frames import (
     COLL_PROTO_RENDEZVOUS,
     Frame,
     FrameKind,
+    WORD_MASK,
     coll_done_frame,
     coll_grant_frame,
     coll_hdr_frame,
+    word_array,
 )
 from repro.runtime.loadgen import AuditLedger
 from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
@@ -82,9 +86,18 @@ RENDEZVOUS = "rendezvous"
 #: The collective operations this module implements.
 COLLECTIVE_OPS = ("broadcast", "scatter", "gather", "all_reduce")
 
-#: Reductions all_reduce understands, each a fold over one column of
-#: words (the root's word first, then one per contributor).
+#: Reductions all_reduce understands.  ``max``/``min`` fold one column
+#: of words at a time (the root's word first, then one per
+#: contributor); ``sum`` adds whole vectors (see :func:`_fold`).
 _REDUCERS = {"sum": sum, "max": max, "min": min}
+
+
+def _mod_words(words: Sequence[int]) -> "array[int]":
+    """A new ``array('I')`` of ``words``, each taken mod 2**32."""
+    try:
+        return array("I", words)
+    except OverflowError:
+        return array("I", [w & WORD_MASK for w in words])
 
 
 def _fold(op: str, own: Sequence[int],
@@ -93,15 +106,32 @@ def _fold(op: str, own: Sequence[int],
     32-bit words the wire carries.
 
     Contributions came off the wire, so their words are already in
-    [0, 2**32).  The root's own words may not be: ``sum`` masks once
-    per column (exact, since the sum is taken mod 2**32), while
-    ``max``/``min`` mask the root's vector first.  Columns stop at the
-    shortest vector.
+    [0, 2**32).  The root's own words may not be: they are taken mod
+    2**32 first.  Columns stop at the shortest vector.
+
+    ``sum`` adds whole vectors, each read as one Python int, instead of
+    boxing every word.  Each vector is split into its even and its odd
+    32-bit lanes by two masks, so the carry out of a word lands in the
+    zeroed word beside it and never in another word; the masked sums
+    recombine to the column sums mod 2**32.  ``max``/``min`` fold the
+    columns.
     """
-    if op == "sum":
-        return [s & 0xFFFFFFFF for s in map(sum, zip(own, *contributions))]
-    columns = zip([w & 0xFFFFFFFF for w in own], *contributions)
-    return list(map(_REDUCERS[op], columns))
+    vectors = [_mod_words(own), *contributions]
+    if op != "sum":
+        return list(map(_REDUCERS[op], zip(*vectors)))
+    width = min(map(len, vectors))
+    order = sys.byteorder
+    lanes = [int.from_bytes(array("I", words[:width]), order)
+             for words in vectors]
+    full = (1 << 32 * width) - 1
+    even = full & int.from_bytes(
+        b"\xff\xff\xff\xff\0\0\0\0" * ((width + 1) // 2), "little")
+    odd = full ^ even
+    total = ((sum(lane & even for lane in lanes) & even)
+             | (sum(lane & odd for lane in lanes) & odd))
+    reduced = array("I")
+    reduced.frombytes(total.to_bytes(4 * width, order))
+    return reduced.tolist()
 
 
 class CollectiveError(RuntimeError):
@@ -232,6 +262,13 @@ class CollectiveResult:
         return tuple(sorted({t.mode for t in self.transfers}))
 
 
+def _listed(result: CollectiveResult) -> CollectiveResult:
+    """The API edge: each ``received`` word array as a plain list."""
+    result.received = {peer: words.tolist()
+                       for peer, words in result.received.items()}
+    return result
+
+
 class _Transfer:
     """In-flight state for one directed leg of a collective.
 
@@ -242,14 +279,14 @@ class _Transfer:
     """
 
     def __init__(self, op_id: int, src: str, dst: str,
-                 words: List[int], mode: str) -> None:
+                 words: "array[int]", mode: str) -> None:
         self.op_id = op_id
         self.src = src
         self.dst = dst
         self.words = words
         self.mode = mode
         self.expected = len(words)
-        self.received: List[int] = []
+        self.received = array("I")
         loop = asyncio.get_running_loop()
         self.grant: "asyncio.Future[int]" = loop.create_future()
         self.done: "asyncio.Future[int]" = loop.create_future()
@@ -393,7 +430,7 @@ class CollectiveGroup:
     # -- receive side --------------------------------------------------------
 
     def _rx_record(self, lane: _Lane):
-        def on_record(payload: Tuple[int, ...]) -> None:
+        def on_record(payload: Sequence[int]) -> None:
             if not lane.rx_pending:
                 return
             transfer = lane.rx_pending[0]
@@ -578,14 +615,15 @@ class CollectiveGroup:
         )
 
     async def _run_phase(self, op: str, root: str,
-                         legs: Sequence[Tuple[str, str, List[int]]],
+                         legs: Sequence[Tuple[str, str, "array[int]"]],
                          ) -> CollectiveResult:
         """Run one fan-out/fan-in phase: every ``(src, dst, words)``
         leg concurrently, each eager or rendezvous by its own size.
 
-        Each leg's ``words`` is a list the op copied at call time, so
-        it is sent as is; each leg's received list is handed to
-        ``result.received`` without another copy."""
+        Each leg's ``words`` is an ``array('I')`` the op copied at call
+        time, so it is sent as is; each leg's received array is handed
+        to ``result.received`` without another copy, and the public ops
+        turn them into lists (:func:`_listed`)."""
         async with self._op_lock:
             self._check_membership(root)
             for src, dst, words in legs:
@@ -645,21 +683,21 @@ class CollectiveGroup:
                         words: Sequence[int]) -> CollectiveResult:
         """Every member ends up holding ``words`` from ``root``."""
         self._check_membership(root)
-        payload = list(words)
+        payload = word_array(words)
         legs = [(root, peer, payload)
                 for peer in self.members if peer != root]
         result = await self._run_phase("broadcast", root, legs)
-        result.received[root] = list(payload)
-        return result
+        result.received[root] = payload
+        return _listed(result)
 
     async def scatter(self, root: str,
                       chunks: Mapping[str, Sequence[int]],
                       ) -> CollectiveResult:
         """Each member receives its own chunk from ``root``."""
         self._check_membership(root, *chunks.keys())
-        legs = [(root, peer, list(chunk))
+        legs = [(root, peer, word_array(chunk))
                 for peer, chunk in chunks.items() if peer != root]
-        result = await self._run_phase("scatter", root, legs)
+        result = _listed(await self._run_phase("scatter", root, legs))
         if root in chunks:
             result.received[root] = list(chunks[root])
         return result
@@ -673,9 +711,9 @@ class CollectiveGroup:
         received from each member (plus the root's own local vector).
         """
         self._check_membership(root, *values.keys())
-        legs = [(peer, root, list(words))
+        legs = [(peer, root, word_array(words))
                 for peer, words in values.items() if peer != root]
-        result = await self._run_phase("gather", root, legs)
+        result = _listed(await self._run_phase("gather", root, legs))
         if root in values:
             result.received[root] = list(values[root])
         return result
@@ -702,12 +740,15 @@ class CollectiveGroup:
         # Everything is copied at call time: the caller may reuse its
         # buffers while the op is in flight, and the root folds what
         # its peers actually sent, not what their buffers hold later.
-        own = list(values[root])
-        legs = [(peer, root, list(words))
+        # The root's words never cross the wire, so they are taken mod
+        # 2**32; a contributor's word outside 32 bits is a FrameError.
+        own = _mod_words(values[root])
+        legs = [(peer, root, word_array(words))
                 for peer, words in values.items() if peer != root]
         reduce_phase = await self._run_phase("all_reduce", root, legs)
         reduced = _fold(op, own, list(reduce_phase.received.values()))
-        bcast_legs = [(root, peer, reduced)
+        words = array("I", reduced)
+        bcast_legs = [(root, peer, words)
                       for peer in self.members if peer != root]
         bcast_phase = await self._run_phase("all_reduce", root, bcast_legs)
         result = CollectiveResult(op="all_reduce",

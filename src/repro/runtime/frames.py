@@ -20,16 +20,19 @@ words: a checksum mismatch raises :class:`FrameCorruption`, a
 :class:`FrameError` subclass the endpoint counts separately from other
 decode failures.
 
-Hot-path design (the per-message cost breakdown in
-``repro.analysis.costbreakdown`` ranks these as the dominant codec
-terms):
+Hot-path design (zero-copy encode/decode: a payload's words stay one
+32-bit buffer from the sender's slice to the receiver's records):
 
-* encode packs prefix, checksum, and payload into **one** pooled
-  ``bytearray`` (no ``prefix + crc + body`` concatenation); per-arity
-  payload ``struct.Struct`` objects are compiled once and cached;
-* decode works on any buffer (``bytes`` or ``memoryview``) and takes
-  zero-copy ``memoryview`` slices for the checksum, so unbundling a
-  batch never copies sub-frame bytes;
+* a frame's payload is an ``array('I')``; words are converted once,
+  where they enter (:class:`Frame` construction, the live channel's
+  ``send``, the collectives' call-time copies), and an out-of-range
+  word fails there or at encode as a :class:`FrameError`;
+* encode is header + one byteswapped copy of the payload + CRC; the
+  wire stays big-endian;
+* decode works on any buffer (``bytes`` or ``memoryview``): the CRC
+  reads zero-copy ``memoryview`` slices, then the payload is one
+  ``frombytes`` plus ``byteswap``, so a batch's sub-frame bytes are
+  copied once, into the payload array;
 * several small frames bound for the same peer coalesce into a *batch
   container* datagram (:func:`encode_batch` / :func:`iter_batch`): a
   3-byte batch header followed by length-prefixed, individually
@@ -41,9 +44,12 @@ from __future__ import annotations
 
 import enum
 import struct
+import sys
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from array import array
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: First header byte of every runtime datagram ("C5" — the machine).
 MAGIC = 0xC5
@@ -96,6 +102,13 @@ TRACE_FLAG = 0x80
 TRACE_CTX_WORDS = 3
 
 Buffer = Union[bytes, bytearray, memoryview]
+
+#: Payload words live in ``array('I')`` buffers, which must be 32-bit.
+if array("I").itemsize != 4:  # pragma: no cover - no such CPython target
+    raise ImportError("the runtime needs a 4-byte array('I') item")
+
+#: Native words are byteswapped to and from the big-endian wire.
+_SWAP = sys.byteorder == "little"
 
 
 class FrameError(ValueError):
@@ -179,17 +192,27 @@ class Frame:
     by a :data:`TRACE_FLAG`-marked datagram; ``-1`` when absent.  They
     are decode-side outputs only — :func:`encode_frame` takes the
     suffix as an explicit argument, never from these fields.
+
+    ``payload`` is an ``array('I')`` of 32-bit words; any other
+    sequence is converted on construction.  One holding a word outside
+    32 bits is kept as given, so the frame can be built and
+    :func:`encode_frame` refuses it with a :class:`FrameError`.
     """
 
     kind: FrameKind
     channel: int
     seq: int = 0
     aux: int = 0
-    payload: Tuple[int, ...] = ()
+    payload: "array[int]" = field(default_factory=partial(array, "I"))
     origin: int = -1
     origin_ts_ns: int = -1
 
     def __post_init__(self) -> None:
+        if type(self.payload) is not array:
+            try:
+                object.__setattr__(self, "payload", array("I", self.payload))
+            except (OverflowError, TypeError):
+                pass  # kept as given: encode_frame refuses it
         if len(self.payload) > MAX_PAYLOAD_WORDS:
             raise FrameError(
                 f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}"
@@ -210,27 +233,19 @@ class Frame:
 # encode / decode
 # ---------------------------------------------------------------------------
 
-#: Per-arity payload packers, compiled once.  ``struct.pack(f"!{n}I")``
-#: re-parses the format string on every call; these do not.
-_PAYLOAD_STRUCTS: Dict[int, struct.Struct] = {}
-
-
-def _payload_struct(count: int) -> struct.Struct:
-    cached = _PAYLOAD_STRUCTS.get(count)
-    if cached is None:
-        cached = _PAYLOAD_STRUCTS[count] = struct.Struct(f"!{count}I")
-    return cached
-
-
-#: Reusable encode buffers.  ``encode_frame`` borrows one, packs in
-#: place, snapshots the result, and returns it — so steady-state
-#: encoding allocates only the immutable result bytes.
-_ENCODE_POOL: List[bytearray] = []
-_ENCODE_POOL_LIMIT = 8
+def word_array(words: Iterable[int]) -> "array[int]":
+    """A new ``array('I')`` holding ``words`` (a memcpy when ``words``
+    already is one).  A word outside 32 bits raises :class:`FrameError`
+    rather than being masked: it would reach the peer as another word."""
+    try:
+        return array("I", words)
+    except (OverflowError, TypeError) as exc:
+        raise FrameError(
+            f"payload word is not a 32-bit wire word ({exc})") from None
 
 
 def _field_error(frame: Frame) -> FrameError:
-    """Diagnose which field made ``struct`` refuse to pack."""
+    """Diagnose which header field made ``struct`` refuse to pack."""
     if not isinstance(frame.kind, FrameKind):
         return FrameError(f"kind {frame.kind!r} is not a FrameKind")
     if not 0 <= frame.channel <= MAX_CHANNEL:
@@ -242,11 +257,6 @@ def _field_error(frame: Frame) -> FrameError:
         return FrameError(f"seq {frame.seq} outside the 32-bit wire field")
     if not 0 <= frame.aux <= WORD_MASK:
         return FrameError(f"aux {frame.aux} outside the 32-bit wire field")
-    for index, word in enumerate(frame.payload):
-        if not 0 <= word <= WORD_MASK:
-            return FrameError(
-                f"payload word {index} ({word}) outside the 32-bit wire field"
-            )
     return FrameError(f"unencodable frame {frame!r}")  # pragma: no cover
 
 
@@ -264,8 +274,7 @@ def encode_frame(frame: Frame,
     byte, so receivers strip it unambiguously regardless of their own
     tracer state.
     """
-    payload = frame.payload
-    count = len(payload)
+    count = len(frame.payload)
     kind_byte = int(frame.kind) if isinstance(frame.kind, FrameKind) else frame.kind
     if trace_ctx is not None:
         if count + TRACE_CTX_WORDS > MAX_PAYLOAD_WORDS:
@@ -273,28 +282,21 @@ def encode_frame(frame: Frame,
                 f"payload of {count} words leaves no room for the "
                 f"{TRACE_CTX_WORDS}-word trace context"
             )
-        payload = payload + tuple(trace_ctx)
         count += TRACE_CTX_WORDS
         kind_byte |= TRACE_FLAG
-    size = HEADER_BYTES + 4 * count
-    buf = _ENCODE_POOL.pop() if _ENCODE_POOL else bytearray(HEADER_BYTES + 64)
-    if len(buf) < size:
-        buf.extend(bytes(size - len(buf)))
     try:
-        _PREFIX.pack_into(
-            buf, 0, MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count
+        prefix = _PREFIX.pack(
+            MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count
         )
-        if count:
-            _payload_struct(count).pack_into(buf, HEADER_BYTES, *payload)
     except (struct.error, TypeError):
         raise _field_error(frame) from None
-    with memoryview(buf) as view:
-        crc = zlib.crc32(view[HEADER_BYTES:size], zlib.crc32(view[:_PREFIX.size]))
-        _CRC.pack_into(buf, _PREFIX.size, crc)
-        wire = bytes(view[:size])
-    if len(_ENCODE_POOL) < _ENCODE_POOL_LIMIT:
-        _ENCODE_POOL.append(buf)
-    return wire
+    body = word_array(frame.payload)
+    if trace_ctx is not None:
+        body.extend(trace_ctx)
+    if _SWAP:
+        body.byteswap()
+    crc = zlib.crc32(body, zlib.crc32(prefix))
+    return b"".join((prefix, _CRC.pack(crc), body))
 
 
 def decode_frame(data: Buffer) -> Frame:
@@ -326,16 +328,17 @@ def decode_frame(data: Buffer) -> Frame:
             f"but datagram has {length} bytes"
         )
     (crc,) = _CRC.unpack_from(data, _PREFIX.size)
+    payload = array("I")
     with memoryview(data) as view:
         actual = zlib.crc32(view[HEADER_BYTES:], zlib.crc32(view[:_PREFIX.size]))
-    if crc != actual:
-        raise FrameCorruption(
-            f"checksum mismatch on {frame_kind.name} frame "
-            f"(wire 0x{crc:08x} != computed 0x{actual:08x})"
-        )
-    payload: Tuple[int, ...] = ()
-    if count:
-        payload = _payload_struct(count).unpack_from(data, HEADER_BYTES)
+        if crc != actual:
+            raise FrameCorruption(
+                f"checksum mismatch on {frame_kind.name} frame "
+                f"(wire 0x{crc:08x} != computed 0x{actual:08x})"
+            )
+        payload.frombytes(view[HEADER_BYTES:])
+    if _SWAP:
+        payload.byteswap()
     if not traced:
         return Frame(kind=frame_kind, channel=channel, seq=seq, aux=aux,
                      payload=payload)
@@ -344,11 +347,11 @@ def decode_frame(data: Buffer) -> Frame:
             f"{frame_kind.name} frame flags a trace context but carries "
             f"only {count} payload words"
         )
-    origin = payload[-3]
-    origin_ts = (payload[-2] << 32) | payload[-1]
+    origin, ts_hi, ts_lo = payload[-TRACE_CTX_WORDS:]
+    del payload[-TRACE_CTX_WORDS:]
     return Frame(kind=frame_kind, channel=channel, seq=seq, aux=aux,
-                 payload=payload[:-TRACE_CTX_WORDS],
-                 origin=origin, origin_ts_ns=origin_ts)
+                 payload=payload, origin=origin,
+                 origin_ts_ns=(ts_hi << 32) | ts_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +422,8 @@ def iter_batch(data: Buffer) -> Iterator[memoryview]:
 
 def data_frame(channel: int, seq: int, payload: Sequence[int], aux: int = 0) -> Frame:
     """Convenience constructor for the common payload-carrying case."""
-    return Frame(
-        kind=FrameKind.DATA, channel=channel, seq=seq, aux=aux,
-        payload=tuple(payload),
-    )
+    return Frame(kind=FrameKind.DATA, channel=channel, seq=seq, aux=aux,
+                 payload=payload)
 
 
 def cum_ack_frame(channel: int, next_expected: int,
@@ -442,13 +443,8 @@ def cum_ack_frame(channel: int, next_expected: int,
     suffix is present, so the payload stays self-consistent without an
     in-band marker.
     """
-    payload = tuple(sacks)
-    if credit is not None:
-        payload += tuple(credit)
-    return Frame(
-        kind=FrameKind.CUM_ACK, channel=channel, seq=next_expected,
-        aux=epoch, payload=payload,
-    )
+    return Frame(kind=FrameKind.CUM_ACK, channel=channel, seq=next_expected,
+                 aux=epoch, payload=(*sacks, *(credit or ())))
 
 
 def epoch_req_frame(channel: int, proposed_epoch: int, base_seq: int) -> Frame:
@@ -468,13 +464,9 @@ def epoch_reply_frame(channel: int, next_expected: int, epoch: int,
     same optional 4-word flow-control suffix ``CUM_ACK`` carries, so a
     renegotiated channel resynchronizes its credit state in the same
     frame that restores its sequence state."""
-    payload = tuple(sacks)
-    if credit is not None:
-        payload += tuple(credit)
-    return Frame(
-        kind=FrameKind.EPOCH_REPLY, channel=channel, seq=next_expected,
-        aux=epoch, payload=payload,
-    )
+    return Frame(kind=FrameKind.EPOCH_REPLY, channel=channel,
+                 seq=next_expected, aux=epoch,
+                 payload=(*sacks, *(credit or ())))
 
 
 def credit_update_frame(channel: int, credit: Sequence[int],
@@ -487,7 +479,7 @@ def credit_update_frame(channel: int, credit: Sequence[int],
     (standalone, piggybacked, or an ``EPOCH_REPLY``) supersedes it.
     """
     return Frame(kind=FrameKind.CREDIT_UPDATE, channel=channel,
-                 aux=epoch, payload=tuple(credit))
+                 aux=epoch, payload=credit)
 
 
 #: Collective protocol discriminators carried in ``COLL_HDR.payload[0]``.
@@ -606,14 +598,14 @@ def ping_frame(channel: int, probe_id: int, incarnation: int,
                gossip: Sequence[int] = ()) -> Frame:
     """A SWIM direct probe carrying the sender's own incarnation."""
     return Frame(kind=FrameKind.PING, channel=channel, seq=probe_id,
-                 aux=incarnation, payload=tuple(gossip))
+                 aux=incarnation, payload=gossip)
 
 
 def ping_req_frame(channel: int, probe_id: int, target_id: int,
                    gossip: Sequence[int] = ()) -> Frame:
     """An indirect probe request: "ping ``target_id`` on my behalf"."""
     return Frame(kind=FrameKind.PING_REQ, channel=channel, seq=probe_id,
-                 payload=(target_id & WORD_MASK,) + tuple(gossip))
+                 payload=(target_id & WORD_MASK, *gossip))
 
 
 def ping_ack_frame(channel: int, probe_id: int, subject_id: int,
@@ -621,7 +613,7 @@ def ping_ack_frame(channel: int, probe_id: int, subject_id: int,
     """A probe acknowledgement vouching for ``subject_id``'s liveness."""
     return Frame(kind=FrameKind.PING_ACK, channel=channel, seq=probe_id,
                  aux=incarnation,
-                 payload=(subject_id & WORD_MASK,) + tuple(gossip))
+                 payload=(subject_id & WORD_MASK, *gossip))
 
 
 def credit_probe_frame(channel: int) -> Frame:

@@ -190,8 +190,58 @@ class SinglePacketSender:
         await self.retransmitter.cancel_all()
 
 
+#: Delivered seqs a single-packet receiver keeps above one sender's
+#: watermark before it stops waiting for the lowest missing seq.
+_SEQ_SPAN = 1024
+
+
+class _DeliveredSeqs:
+    """One sender's delivered sequence numbers, in bounded memory.
+
+    Each seq below ``floor`` was delivered unless it is in ``skipped``;
+    ``above`` holds the seqs delivered past ``floor``.  Seqs arrive
+    nearly in order, so ``floor`` walks up behind them and ``above``
+    stays small.  A seq that never arrives (its sender abandoned it)
+    would pin ``floor``, so once ``above`` holds ``_SEQ_SPAN`` seqs,
+    ``floor`` jumps to the lowest of them and the seqs it passes go to
+    ``skipped``: a late first copy is still delivered, once.  So the
+    state grows with seqs that never arrived, not with deliveries.
+    """
+
+    __slots__ = ("floor", "above", "skipped")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: Set[int] = set()
+        self.skipped: Set[int] = set()
+
+    def add(self, seq: int) -> bool:
+        """Record ``seq`` as delivered; False when it already was."""
+        if seq < self.floor:
+            if seq not in self.skipped:
+                return False
+            self.skipped.remove(seq)
+            return True
+        above = self.above
+        if seq in above:
+            return False
+        above.add(seq)
+        if len(above) >= _SEQ_SPAN:
+            low = min(above)
+            self.skipped.update(range(self.floor, low))
+            self.floor = low
+        while self.floor in above:
+            above.remove(self.floor)
+            self.floor += 1
+        return True
+
+
 class SinglePacketReceiver:
-    """Destination side: deliver, deduplicate, acknowledge."""
+    """Destination side: deliver, deduplicate, acknowledge.
+
+    On CM-5 transports duplicates are filtered per source: each
+    sender numbers its packets from 0, so one sender's seq says
+    nothing about another's."""
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_SINGLE,
                  on_message: Optional[Callable[[List[int]], None]] = None) -> None:
@@ -200,7 +250,7 @@ class SinglePacketReceiver:
         self.on_message = on_message
         self.delivered_count = 0  # messages go to `on_message`, not kept
         self.counters = endpoint.counters.scoped("single_rx")
-        self._delivered_seqs: set = set()
+        self._delivered: Dict[Address, _DeliveredSeqs] = {}
         self._waiters: List[Tuple[int, asyncio.Future]] = []
         endpoint.bind(channel, self._on_frame)
 
@@ -218,8 +268,10 @@ class SinglePacketReceiver:
         attr = self.endpoint.attribution
         if not self.endpoint.cr_mode:
             with attr.span(Feature.FAULT_TOLERANCE):
-                duplicate = frame.seq in self._delivered_seqs
-                self._delivered_seqs.add(frame.seq)
+                seqs = self._delivered.get(src)
+                if seqs is None:
+                    seqs = self._delivered[src] = _DeliveredSeqs()
+                duplicate = not seqs.add(frame.seq)
                 # Ack unconditionally: the previous ack may have been lost.
                 self.counters.inc("acks_sent")
                 self.endpoint.post_frame(
@@ -1157,7 +1209,7 @@ class OrderedChannelReceiver:
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_STREAM,
                  window: int = 256,
-                 deliver: Optional[Callable[[int, Tuple[int, ...]], None]] = None,
+                 deliver: Optional[Callable[[int, Sequence[int]], None]] = None,
                  ack_every: int = 8, ack_delay: float = 0.005,
                  resume_expected: int = 0, epoch: int = 0,
                  flow: Optional[FlowControlConfig] = None) -> None:
@@ -1440,7 +1492,8 @@ class OrderedChannelReceiver:
             self._ack_handle.cancel()
             self._ack_handle = None
 
-    def _deliver(self, seq: int, payload: Tuple[int, ...]) -> None:
+    def _deliver(self, seq: int, payload: Sequence[int]) -> None:
+        # ``payload`` is the decoded frame's word array, handed on as is.
         if self.flow is not None:
             # The packet leaves the reorder buffer toward the user:
             # its bytes stop counting against the credit window.
@@ -1454,7 +1507,7 @@ class OrderedChannelReceiver:
                         feature=Feature.BASE)
         if self.user_deliver is not None:
             with self.endpoint.attribution.span(Feature.USER):
-                self.user_deliver(seq, tuple(payload))
+                self.user_deliver(seq, payload)
 
     # -- completion futures ---------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from repro.runtime.collectives import (
 )
 from repro.runtime.fabric import Fabric
 from repro.runtime.flowcontrol import RendezvousAdmission
+from repro.runtime.frames import FrameError
 from repro.runtime.loadgen import AuditLedger
 from repro.runtime.tracing import EventType, Tracer
 
@@ -230,6 +232,62 @@ class TestCollectiveOps:
         assert result.result == [9, 12]
         assert all(v == [9, 12] for v in result.received.values())
 
+    def test_out_of_range_words_keep_their_contract(self, drive):
+        """The root's own words never cross the wire and are reduced mod
+        2**32; a contributor's word outside 32 bits raises
+        ``FrameError``, and the group stays usable."""
+        async def scenario():
+            fabric = await fabric_with_peers(["a", "b", "c"])
+            group = fabric.collective()
+            try:
+                root = await group.all_reduce(
+                    {"a": [2**32 + 5, -1], "b": [1, 2], "c": [3, 4]})
+                errors = []
+                for bad in (2**32, -1):
+                    with pytest.raises(FrameError):
+                        await group.all_reduce(
+                            {"a": [1, 2], "b": [bad, 1], "c": [3, 4]})
+                    with pytest.raises(FrameError):
+                        await group.broadcast("a", [bad])
+                    errors.append(bad)
+                after = await group.all_reduce(
+                    {"a": [1, 2], "b": [1, 2], "c": [3, 4]})
+                return root, errors, after
+            finally:
+                await group.close()
+                await fabric.close()
+
+        root, errors, after = drive(scenario())
+        assert root.completed and root.result == [9, 5]
+        assert errors == [2**32, -1]
+        assert after.completed and after.result == [5, 8]
+
+    def test_every_op_returns_plain_lists(self, drive):
+        """Words travel as 32-bit arrays; ``.result`` and
+        ``.received`` are plain lists at the API edge."""
+        async def scenario():
+            fabric = await fabric_with_peers(["a", "b", "c"])
+            group = fabric.collective()
+            try:
+                return [
+                    await group.broadcast("a", [1, 2]),
+                    await group.scatter("a", {"a": [1], "b": [2], "c": [3]}),
+                    await group.gather("a", {"a": [1], "b": [2], "c": [3]}),
+                    await group.all_reduce(
+                        {"a": [1, 2], "b": [3, 4], "c": [5, 6]}),
+                ]
+            finally:
+                await group.close()
+                await fabric.close()
+
+        results = drive(scenario())
+        assert all(r.completed for r in results)
+        for result in results:
+            assert set(result.received) == {"a", "b", "c"}
+            assert all(type(words) is list
+                       for words in result.received.values())
+        assert type(results[-1].result) is list
+
     def test_all_reduce_runs_both_phases_over_rendezvous(self, drive):
         """Above the threshold, both the reduce and the redistribute
         phase ride the bulk protocol — 2·(N−1) rendezvous legs."""
@@ -364,8 +422,34 @@ def fold_inputs(draw):
     return op, own, [draw(wire_words(size())) for _ in range(contributors)]
 
 
+@st.composite
+def sum_inputs(draw):
+    """The root's vector and 1-7 contributions, each a list or an
+    ``array('I')``, of one length or ragged, with words pinned at 0 and
+    2**32-1, where carries happen; the root's may hold out-of-range
+    words."""
+    length = draw(st.integers(min_value=1, max_value=64))
+    ragged = draw(st.booleans())
+
+    def vector(root=False):
+        size = (draw(st.integers(min_value=1, max_value=64)) if ragged
+                else length)
+        words = draw(wire_words(size))
+        edge = draw(st.sampled_from([0, 0xFFFFFFFF]))
+        for index in draw(st.lists(st.integers(0, size - 1), max_size=8)):
+            words[index] = edge
+        if root and draw(st.booleans()):
+            words[draw(st.integers(0, size - 1))] = draw(out_of_range)
+            return words
+        return array("I", words) if draw(st.booleans()) else words
+
+    own = vector(root=True)
+    contributors = draw(st.integers(min_value=1, max_value=7))
+    return own, [vector() for _ in range(contributors)]
+
+
 class TestFold:
-    """The root's columnwise fold against the pairwise reference."""
+    """The root's fold against the pairwise reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(inputs=fold_inputs())
@@ -383,6 +467,26 @@ class TestFold:
     def test_root_words_out_of_range_are_masked(self, op, expected):
         own = [-1, 2**32, 2**33 + 1]
         assert collectives._fold(op, own, [[0, 0xFFFFFFFF, 2]]) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=sum_inputs())
+    def test_lane_masked_sum_matches_the_pairwise_reference(self, inputs):
+        """The sum adds whole vectors with even and odd lanes masked
+        apart: a word's carry must never reach its neighbour, whatever
+        the container, length (odd included) or raggedness."""
+        own, contributions = inputs
+        before = (list(own), [list(words) for words in contributions])
+        assert (collectives._fold("sum", own, contributions)
+                == pairwise_fold("sum", *before))
+        assert (list(own), [list(w) for w in contributions]) == before
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 4096])
+    def test_sum_of_all_ones_words_carries_nowhere(self, length):
+        """Seven contributors of 0xFFFFFFFF in every word: each column
+        carries out of its word, and must wrap there, not spill."""
+        ones = array("I", [0xFFFFFFFF] * length)
+        reduced = collectives._fold("sum", ones, [ones] * 7)
+        assert reduced == [(8 * 0xFFFFFFFF) & 0xFFFFFFFF] * length
 
 
 class TestRendezvousAdmission:

@@ -1,6 +1,9 @@
 """Unit tests for the runtime wire format."""
 
+import dataclasses
+import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.runtime.frames import (
     MAX_CHANNEL,
     MAX_PAYLOAD_WORDS,
     WORD_MASK,
+    cum_ack_frame,
     data_frame,
     decode_frame,
     encode_batch,
@@ -24,6 +28,7 @@ from repro.runtime.frames import (
     iter_batch,
     epoch_reply_frame,
     epoch_req_frame,
+    word_array,
 )
 
 
@@ -51,7 +56,7 @@ class TestRoundTrip:
     def test_large_payload(self):
         payload = tuple(range(256))
         frame = data_frame(channel=1, seq=1, payload=payload)
-        assert decode_frame(encode_frame(frame)).payload == payload
+        assert tuple(decode_frame(encode_frame(frame)).payload) == payload
 
 
 class TestDecodeErrors:
@@ -143,7 +148,7 @@ class TestChaosHelpers:
         decoded = decode_frame(encode_frame(frame))
         assert decoded.kind is FrameKind.EPOCH_REPLY
         assert (decoded.seq, decoded.aux) == (17, 3)
-        assert decoded.payload == (19, 21)
+        assert tuple(decoded.payload) == (19, 21)
 
 
 class TestFieldValidation:
@@ -342,7 +347,7 @@ class TestTraceContext:
         frame = data_frame(channel=3, seq=41, payload=[1, 2, 3], aux=7)
         wire = encode_frame(frame, self._ctx())
         decoded = decode_frame(wire)
-        assert decoded.payload == (1, 2, 3)
+        assert tuple(decoded.payload) == (1, 2, 3)
         assert decoded.origin == 0xDEADBEEF
         assert decoded.origin_ts_ns == self.CTX_TS
 
@@ -374,7 +379,7 @@ class TestTraceContext:
     def test_empty_payload_frame_carries_context(self):
         frame = Frame(kind=FrameKind.CREDIT_UPDATE, channel=2, seq=0, aux=64)
         decoded = decode_frame(encode_frame(frame, self._ctx(origin=42)))
-        assert decoded.payload == ()
+        assert tuple(decoded.payload) == ()
         assert decoded.origin == 42
 
     def test_oversized_payload_plus_context_rejected(self):
@@ -411,4 +416,92 @@ class TestTraceContext:
         decoded = [decode_frame(v) for v in iter_batch(batch)]
         assert [d.origin for d in decoded] == [9, 9, 9]
         assert [d.origin_ts_ns for d in decoded] == [1000, 1001, 1002]
-        assert [d.payload for d in decoded] == [(0,), (1,), (2,)]
+        assert [tuple(d.payload) for d in decoded] == [(0,), (1,), (2,)]
+
+
+def golden_words(count):
+    """A fixed, non-repeating word pattern for the golden frames."""
+    return [(i * 0x9E3779B1 + 0x7F4A7C15) & WORD_MASK for i in range(count)]
+
+
+GOLDEN_CTX = trace_context_words(0xC0DEC0DE, 0x1_2345_6789A)
+
+#: (payload words, traced) -> (datagram length, SHA-256 of the datagram)
+#: for ``data_frame(0x1234, 0xDEADBEEF, golden_words(n), aux=77)``, as
+#: the struct-packing codec encoded them.
+GOLDEN_DATA = {
+    (0, False): (18, "104f969ad4927bf3d1fda9a0ca5b9c77"
+                     "bc90ccf9b5c894c89a4f237088894c0f"),
+    (0, True): (30, "fb92ca0e58ad054465958ce3fdc7aed1"
+                    "27113f93395c9e0015ff4a6192a9006d"),
+    (1, False): (22, "f7b2cf3f1224d9923f43fd673dc6f3df"
+                     "022b1038f114cc6eae1de96ed06dc81f"),
+    (1, True): (34, "5c6fd501aa93bd613a4d50adf9deb81d"
+                    "f2cfb18f1ba08d41735cbe3d527097f1"),
+    (9, False): (54, "e346d49264d08a6b79d3a13b1ead579e"
+                     "8b90841587ec9319155676d2d57e5a66"),
+    (9, True): (66, "4eb89a7a4c84c7961e184df02f22dd8a"
+                    "a0b33b9ae88caf41675a1b69b863fe37"),
+    (1024, False): (4114, "85dbada3229edf0b54301562fc532e4c"
+                          "a4340c15ab8572c9354ec174bcd57a45"),
+    (1024, True): (4126, "9a8a69c2f7c95c717dc0ecf2bfff69e0"
+                         "49b300302dfbd24d2fbae83c142b4556"),
+}
+
+
+class TestWireCompatibility:
+    """The array codec puts the same bytes on the wire as the struct
+    codec it replaced: big-endian words, same header, same CRC."""
+
+    @pytest.mark.parametrize("count, traced", sorted(GOLDEN_DATA))
+    def test_data_frame_bytes_are_unchanged(self, count, traced):
+        frame = data_frame(0x1234, 0xDEADBEEF, golden_words(count), aux=77)
+        wire = encode_frame(frame, GOLDEN_CTX if traced else None)
+        assert (len(wire), hashlib.sha256(wire).hexdigest()) \
+            == GOLDEN_DATA[(count, traced)]
+        decoded = decode_frame(wire)
+        assert list(decoded.payload) == golden_words(count)
+        assert (decoded.origin != -1) == traced
+
+    def test_one_word_frames_spelled_out(self):
+        frame = data_frame(0x1234, 0xDEADBEEF, golden_words(1), aux=77)
+        assert encode_frame(frame).hex() == (
+            "c5011234deadbeef0000004d00019d8ed97b7f4a7c15")
+        assert encode_frame(frame, GOLDEN_CTX).hex() == (
+            "c5811234deadbeef0000004d0004d356c747"
+            "7f4a7c15c0dec0de000000123456789a")
+
+    def test_cum_ack_with_credit_suffix_bytes_are_unchanged(self):
+        frame = cum_ack_frame(17, next_expected=4242, sacks=(4244, 4250),
+                              epoch=3, credit=(0, 65536, 0, 128))
+        assert encode_frame(frame).hex() == (
+            "c5070011000010920000000300069ba5a0a5"
+            "000010940000109a000000000001000000000000"
+            "00000080")
+
+    @pytest.mark.parametrize("kind", list(FrameKind))
+    def test_every_kind_round_trips_traced_and_untraced(self, kind):
+        frame = Frame(kind=kind, channel=7, seq=WORD_MASK, aux=3,
+                      payload=tuple(golden_words(5)))
+        assert decode_frame(encode_frame(frame)) == frame
+        traced = decode_frame(encode_frame(frame, GOLDEN_CTX))
+        assert traced == dataclasses.replace(
+            frame, origin=0xC0DEC0DE, origin_ts_ns=0x1_2345_6789A)
+
+    def test_payload_is_one_word_array(self):
+        """Lists, tuples and arrays all become the same ``array('I')``,
+        and a decoded frame carries one too."""
+        frames = [data_frame(1, 2, words)
+                  for words in ([1, 2], (1, 2), array("I", [1, 2]))]
+        assert all(f.payload == array("I", [1, 2]) for f in frames)
+        assert all(f == frames[0] for f in frames)
+        decoded = decode_frame(encode_frame(frames[0]))
+        assert type(decoded.payload) is array
+        assert decoded.payload.typecode == "I"
+
+    @pytest.mark.parametrize("bad", [-1, WORD_MASK + 1, 1 << 40])
+    def test_word_array_rejects_words_outside_32_bits(self, bad):
+        with pytest.raises(FrameError):
+            word_array([0, bad])
+        with pytest.raises(FrameError):
+            encode_frame(data_frame(1, 0, [0, bad]))

@@ -22,13 +22,16 @@ from repro.runtime import (
     run_ordered_live,
     run_single_packet_live,
 )
+from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.protocols import (
+    _SEQ_SPAN,
     BulkReceiver,
     BulkSender,
     OrderedChannelReceiver,
     OrderedChannelSender,
     SinglePacketReceiver,
     SinglePacketSender,
+    _DeliveredSeqs,
 )
 
 #: Fast backoff for fault tests: recover in milliseconds.
@@ -446,9 +449,8 @@ class TestReceiverMemory:
         """Regression: the single-packet receiver appended every
         delivered message to a list it never trimmed.  Each message
         goes to ``on_message``; the receiver keeps only a count.
-
-        Covers CR mode only: in CM-5 mode the duplicate filter
-        (``_delivered_seqs``) still grows by one entry per message."""
+        CM-5 mode's duplicate filter is covered by
+        ``test_cm5_duplicate_filter_does_not_grow_with_messages``."""
         import gc
         import tracemalloc
 
@@ -487,3 +489,96 @@ class TestReceiverMemory:
         # The old list retained ~128 B per 8-word message, ~230 kB
         # more at 2000.
         assert large - small < 16 * 1024, (small, large)
+
+    def test_cm5_duplicate_filter_does_not_grow_with_messages(self, drive):
+        """Regression: in CM-5 mode the single-packet receiver's
+        duplicate filter kept every delivered seq in a set, one entry
+        per message.  It keeps a watermark per source plus the seqs
+        delivered above it."""
+        import gc
+        import tracemalloc
+
+        from repro.runtime import protocols
+
+        async def retained(messages):
+            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0)
+            in_order = []
+            receiver = SinglePacketReceiver(
+                pair.dst, on_message=lambda words: in_order.append(
+                    words[0] == len(in_order)))
+            sender = SinglePacketSender(pair.src, pair.dst.local_address,
+                                        backoff=FAST)
+            tracemalloc.start()
+            try:
+                arrival = receiver.expect(messages)
+                for seq in range(messages):
+                    await sender.send([seq] * 8)
+                await arrival
+                gc.collect()
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+                receiver.close()
+                await sender.close()
+                await pair.close()
+            mine = snapshot.filter_traces(
+                [tracemalloc.Filter(True, protocols.__file__)])
+            assert in_order == [True] * messages
+            return (sum(stat.size for stat in mine.statistics("filename")),
+                    receiver.delivered_count)
+
+        async def body():
+            return await retained(200), await retained(2000)
+
+        (small, small_count), (large, large_count) = drive(body())
+        assert (small_count, large_count) == (200, 2000)
+        # The old set held ~2000 seqs at 2000 messages, ~100 kB more.
+        assert large - small < 16 * 1024, (small, large)
+
+    def test_two_senders_to_one_receiver_both_deliver_everything(
+            self, drive):
+        """Regression: the CM-5 duplicate filter ignored the source, so
+        a second sender's seq 0 was acked and dropped as a duplicate of
+        the first sender's seq 0."""
+        async def body():
+            pair = make_loopback_pair(mode="cm5")
+            third = RuntimeEndpoint(pair.hub.attach("src2"), name="src2")
+            seen = []
+            receiver = SinglePacketReceiver(pair.dst, on_message=seen.append)
+            senders = [SinglePacketSender(ep, pair.dst.local_address,
+                                          backoff=FAST)
+                       for ep in (pair.src, third)]
+            try:
+                arrival = receiver.expect(20)
+                for seq in range(10):
+                    for tag, sender in enumerate(senders):
+                        await sender.send([tag, seq])
+                await asyncio.wait_for(arrival, 5.0)
+                return sorted(map(tuple, seen)), receiver.duplicates
+            finally:
+                receiver.close()
+                for sender in senders:
+                    await sender.close()
+                await third.close()
+                await pair.close()
+
+        seen, duplicates = drive(body())
+        assert seen == sorted((tag, seq) for tag in (0, 1)
+                              for seq in range(10))
+        assert duplicates == 0
+
+    def test_an_abandoned_seq_does_not_pin_the_duplicate_filter(self):
+        """A seq its sender abandoned never arrives: the watermark
+        moves past it once ``_SEQ_SPAN`` later seqs are held, so the
+        filter stays bounded.  A late first copy of the skipped seq
+        still delivers once; every other repeat is a duplicate."""
+        seqs = _DeliveredSeqs()
+        total = 5 * _SEQ_SPAN
+        assert all(seqs.add(seq) for seq in range(1, total))
+        assert len(seqs.above) < _SEQ_SPAN
+        assert seqs.floor == total and seqs.skipped == {0}
+        assert not any(seqs.add(seq) for seq in (1, _SEQ_SPAN, total - 1))
+        assert seqs.add(0) and not seqs.add(0)
+        assert seqs.skipped == set()
+        assert seqs.add(total + 1) and not seqs.add(total + 1)
+        assert seqs.add(total) and seqs.floor == total + 2
